@@ -1,17 +1,17 @@
 #include "harness/bench_cli.hh"
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "dram/flip_model.hh"
 #include "harness/result_store.hh"
 #include "harness/scratch_dir.hh"
 #include "harness/self_exe.hh"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 
@@ -92,6 +92,29 @@ flagValue(int argc, char **argv, int &i, const char *flag)
     return nullptr;
 }
 
+/** Reject a flag's value: the usage error every bad number exits
+ * with. */
+[[noreturn]] void
+badValue(const char *prog, const char *flag, const char *value,
+         const char *need)
+{
+    std::fprintf(stderr, "%s: bad %s '%s' (need %s)\n", prog, flag,
+                 value, need);
+    std::exit(2);
+}
+
+/** A --threads-style worker count: 0 or a negative integer means all
+ * cores. */
+unsigned
+threadCount(const char *prog, const char *flag, const char *value)
+{
+    long long n = 0;
+    if (!parseDecimal(value, n) || n > UINT_MAX)
+        badValue(prog, flag, value,
+                 "an integer; 0 or negative = all cores");
+    return n > 0 ? static_cast<unsigned>(n) : 0;
+}
+
 } // namespace
 
 BenchCli
@@ -140,9 +163,8 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--threads")) {
-            long n = std::strtol(value, nullptr, 10);
             cli.options.threads =
-                n >= 0 ? static_cast<unsigned>(n) : 0;
+                threadCount(argv[0], "--threads", value);
             cli.threadsExplicit = true;
             continue;
         }
@@ -166,8 +188,9 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--workers")) {
-            long n = std::strtol(value, nullptr, 10);
-            cli.workers = n >= 0 ? static_cast<unsigned>(n) : 0;
+            if (!parseCount(value, cli.workers))
+                badValue(argv[0], "--workers", value,
+                         "a count; 0 = one per core");
             continue;
         }
         if (const char *value =
@@ -186,9 +209,8 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--pool-threads")) {
-            // Negative values mean 0 (all cores), like --threads.
-            long n = std::strtol(value, nullptr, 10);
-            cli.pool.threads = n >= 0 ? static_cast<unsigned>(n) : 0;
+            cli.pool.threads =
+                threadCount(argv[0], "--pool-threads", value);
             cli.forwardArgs.push_back(
                 std::string("--pool-threads=") + value);
             continue;
@@ -207,15 +229,8 @@ BenchCli::parse(int argc, char **argv, const char *summary,
             continue;
         }
         if (const char *value = flagValue(argc, argv, i, "--harts")) {
-            long n = std::strtol(value, nullptr, 10);
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "%s: bad --harts '%s' (need a positive"
-                             " count)\n",
-                             argv[0], value);
-                std::exit(2);
-            }
-            cli.harts = static_cast<unsigned>(n);
+            if (!parseCount(value, cli.harts) || cli.harts == 0)
+                badValue(argv[0], "--harts", value, "a positive count");
             cli.forwardArgs.push_back(std::string("--harts=") + value);
             continue;
         }
@@ -224,8 +239,12 @@ BenchCli::parse(int argc, char **argv, const char *summary,
             std::string mode = value;
             const std::size_t colon = mode.find(':');
             if (colon != std::string::npos) {
-                cli.interleaveSeed = std::strtoull(
-                    mode.c_str() + colon + 1, nullptr, 10);
+                long long seed = 0;
+                if (!parseDecimal(mode.c_str() + colon + 1, seed) ||
+                    seed < 0)
+                    badValue(argv[0], "--interleave", value,
+                             "M[:SEED] with a non-negative SEED");
+                cli.interleaveSeed = static_cast<std::uint64_t>(seed);
                 mode.resize(colon);
             }
             if (!parseInterleaveMode(mode.c_str(), cli.interleave)) {
@@ -322,11 +341,12 @@ BenchCli::runCampaign(const Campaign &campaign)
     if (workerCount <= 1)
         return campaign.run(options);
 
-    // Parent mode (--workers N): fan the campaign out across N shard
-    // subprocesses, merge their journals, and serve the report from
-    // the merge. Without --journal the artifacts live in a scratch
-    // directory the guard removes on every exit path — success,
-    // merge failure or exception — unless kept for inspection.
+    // Parent mode (--workers N): run the campaign as a one-campaign
+    // manifest through CampaignCtl and serve the report from the
+    // merged journal. Without --journal the artifacts live in a
+    // scratch directory the guard removes on every exit path —
+    // success, merge failure or exception — unless kept for
+    // inspection.
     std::string journal = options.journalPath;
     ScratchDirGuard scratch;
     if (journal.empty()) {
@@ -334,65 +354,54 @@ BenchCli::runCampaign(const Campaign &campaign)
         journal = scratch.path() + "/campaign.jsonl";
     }
 
-    ShardRunnerOptions spawn;
+    ManifestCampaign job;
+    job.name = "workers";
     // execv does no PATH search; prefer the kernel's record of this
     // very binary over argv[0], which may be a bare name.
-    spawn.program = resolveSelfExe(program);
-    spawn.args = forwardArgs;
-    spawn.workers = workerCount;
-    spawn.journalBase = journal;
-    spawn.threadsPerWorker = threadsExplicit ? options.threads : 1;
-    spawn.fresh = !options.resume;
-    ShardRunner runner(spawn);
+    job.program = resolveSelfExe(program);
+    job.args = forwardArgs;
+    // Comes after CampaignCtl's own --threads=1, so it wins.
+    if (threadsExplicit)
+        job.args.push_back(strfmt("--threads=%u", options.threads));
+    job.shards = workerCount;
+    // No report: the render pass is skipped and the results are
+    // served from the merged journal in-process below.
+    job.journal = journal;
+    Manifest manifest;
+    manifest.campaigns.push_back(std::move(job));
 
-    // Resume across dispatch modes: seed each shard journal with the
-    // parent journal's entries for its residue class, so a campaign
-    // previously completed (or partially completed) single-process —
-    // or by an earlier --workers run that merged — is not recomputed.
-    if (options.resume)
-        seedShardJournalsFromParent(journal, journal, workerCount);
-
-    workerReports = runner.run();
+    CampaignCtlOptions ctlOptions;
+    ctlOptions.workers = workerCount;
+    ctlOptions.fresh = !options.resume;
+    CampaignCtl ctl(std::move(manifest), std::move(ctlOptions));
+    ctl.run();
+    const CampaignOutcome &outcome = ctl.outcomes().front();
+    workerReports = outcome.shards;
 
     workerDeaths = 0;
-    for (const ShardWorkerReport &report : workerReports) {
+    for (unsigned w = 0; w < workerCount; ++w) {
+        const ShardOutcome &report = workerReports[w];
         if (report.ok)
             continue;
         ++workerDeaths;
         std::fprintf(stderr,
-                     "shard worker %u/%u died after %u attempt(s):"
-                     " %s (log: %s)\n",
-                     report.shard, workerCount, report.spawns,
-                     report.error.c_str(), report.logPath.c_str());
+                     "shard worker %u/%u died: %s (log: %s)\n", w,
+                     workerCount, report.error.c_str(),
+                     report.log.c_str());
         if (!report.logTail.empty())
             std::fprintf(stderr, "--- worker %u output tail ---\n%s%s",
-                         report.shard, report.logTail.c_str(),
+                         w, report.logTail.c_str(),
                          report.logTail.back() == '\n' ? "" : "\n");
     }
-
-    // Merge: the parent's previous journal first (resume), then the
-    // shard journals — last wins, so fresher shard results supersede.
-    std::vector<std::string> inputs;
-    if (options.resume)
-        inputs.push_back(journal);
-    for (unsigned w = 0; w < workerCount; ++w)
-        inputs.push_back(runner.shardJournalPath(w));
-    ResultStore::MergeStats stats;
-    std::string mergeError;
-    const std::string merging = journal + ".merging";
-    if (!ResultStore::merge(inputs, merging, &stats, &mergeError) ||
-        std::rename(merging.c_str(), journal.c_str()) != 0) {
-        std::remove(merging.c_str());
-        throw std::runtime_error(
-            mergeError.empty() ? "cannot finalize merged journal: " +
-                                     journal
-                               : mergeError);
-    }
-    if (stats.corruptLines)
+    // Every shard completed, so the only way left to fail is the
+    // merge itself.
+    if (!outcome.ok && workerDeaths == 0)
+        throw std::runtime_error(outcome.error);
+    if (outcome.mergeStats.corruptLines)
         std::fprintf(stderr,
                      "warning: skipped %zu corrupt line(s) while"
                      " merging %u shard journal(s) into %s\n",
-                     stats.corruptLines, workerCount,
+                     outcome.mergeStats.corruptLines, workerCount,
                      journal.c_str());
 
     // Serve the report from the merged journal. A run the merge
@@ -418,7 +427,7 @@ BenchCli::runCampaign(const Campaign &campaign)
         missing = true;
         const unsigned shard =
             static_cast<unsigned>(i % workerCount);
-        const ShardWorkerReport &report = workerReports[shard];
+        const ShardOutcome &report = workerReports[shard];
         RunResult &res = results[i];
         res = specResultShell(specs[i], i);
         res.ok = false;

@@ -51,13 +51,17 @@
  *  - --shard I/N (worker mode): runs the slice, checkpoints it,
  *    prints a one-line summary and exits — the real report comes
  *    from the merged journal;
- *  - --workers N (parent mode): spawns N shard workers of this very
- *    binary via ShardRunner (crash detection + respawn/resume),
- *    merges their journals, and returns results served from the
- *    merged journal — byte-identical to a single-process serial run.
- *    A worker that dies for good surfaces as failed runs carrying
- *    its death reason and captured stderr, and in workerDeaths, so
- *    the bench exits nonzero.
+ *  - --workers N (parent mode): runs the campaign as a one-campaign
+ *    manifest through CampaignCtl — N shard workers of this very
+ *    binary with crash detection, respawn/resume and straggler
+ *    re-issue — and returns results served from the merged journal,
+ *    byte-identical to a single-process serial run. A worker that
+ *    dies for good surfaces as failed runs carrying its death reason
+ *    and captured stderr, and in workerDeaths, so the bench exits
+ *    nonzero.
+ *
+ * Numeric flags are strict (common/parse.hh): a value that is not one
+ * whole decimal integer in range exits with status 2.
  */
 
 #ifndef PTH_HARNESS_BENCH_CLI_HH
@@ -67,7 +71,7 @@
 #include <vector>
 
 #include "harness/campaign.hh"
-#include "harness/shard_runner.hh"
+#include "harness/campaign_ctl.hh"
 
 namespace pth
 {
@@ -99,11 +103,12 @@ struct BenchCli
     InterleaveMode interleave = InterleaveMode::RoundRobin;
     std::uint64_t interleaveSeed = 0;
 
-    /** Filled by runCampaign() in --workers parent mode: one report
-     * per worker, and how many died for good (each also surfaces as
-     * failed runs in the results). Benches add workerDeaths to their
-     * failure count so a lost shard always exits nonzero. */
-    std::vector<ShardWorkerReport> workerReports;
+    /** Filled by runCampaign() in --workers parent mode: how each
+     * worker's shard ended, and how many died for good (each also
+     * surfaces as failed runs in the results). Benches add
+     * workerDeaths to their failure count so a lost shard always
+     * exits nonzero. */
+    std::vector<ShardOutcome> workerReports;
     unsigned workerDeaths = 0;
 
     /** The binary (argv[0]) and the arguments a spawned shard worker

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -16,7 +18,6 @@
 
 #include "common/json.hh"
 #include "common/table.hh"
-#include "harness/shard_runner.hh"
 
 namespace pth
 {
@@ -205,8 +206,6 @@ struct CampaignCtl::Task
         std::string log;
         unsigned spawns = 0;
         bool live = false;
-        bool dead = false;       //!< gave up (respawns exhausted)
-        bool superseded = false; //!< killed because a sibling won
         std::string error;       //!< last death reason
     };
 
@@ -224,9 +223,88 @@ struct CampaignCtl::Task
 namespace
 {
 
+/** Where shard `shard` of the campaign journaled at `journal`
+ * checkpoints (its log is this path + ".log"). */
+std::string
+shardJournalPath(const std::string &journal, unsigned shard)
+{
+    return journal + strfmt(".shard%u", shard);
+}
+
+/** Human-readable decode of a waitpid status. */
+std::string
+describeWaitStatus(int status)
+{
+    if (WIFEXITED(status)) {
+        const int code = WEXITSTATUS(status);
+        if (code == 127)
+            return "exec failed (exit 127)";
+        return strfmt("exited with status %d", code);
+    }
+    if (WIFSIGNALED(status))
+        return strfmt("killed by signal %d (%s)", WTERMSIG(status),
+                      strsignal(WTERMSIG(status)));
+    return strfmt("unknown wait status 0x%x", status);
+}
+
+/** Last maxBytes of a file (worker-log postmortems). */
+std::string
+fileTail(const std::string &path, std::size_t maxBytes = 2048)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return std::string();
+    const std::streamoff size = in.tellg();
+    const std::streamoff start =
+        size > static_cast<std::streamoff>(maxBytes)
+            ? size - static_cast<std::streamoff>(maxBytes)
+            : 0;
+    in.seekg(start);
+    std::string tail(static_cast<std::size_t>(size - start), '\0');
+    in.read(tail.data(), static_cast<std::streamsize>(tail.size()));
+    tail.resize(static_cast<std::size_t>(in.gcount()));
+    return tail;
+}
+
+/**
+ * Seed each shard journal with the campaign journal's entries for its
+ * residue class, so a campaign previously completed (or partially
+ * completed) under another dispatch mode or shard count is not
+ * recomputed. Idempotent: an entry the shard journal already holds
+ * under the same key is not re-appended, and workers still re-validate
+ * every seeded entry by spec key. A missing campaign journal seeds
+ * nothing.
+ */
+void
+seedShardJournals(const std::string &journal, unsigned shards)
+{
+    auto prior = ResultStore::load(journal);
+    std::vector<std::unique_ptr<ResultStore>> seeds(shards);
+    std::vector<std::map<std::size_t, ResultStore::Entry>> present(
+        shards);
+    std::vector<char> presentLoaded(shards, 0);
+    for (auto &item : prior) {
+        const unsigned s = static_cast<unsigned>(item.first % shards);
+        const std::string shardPath = shardJournalPath(journal, s);
+        if (!presentLoaded[s]) {
+            present[s] = ResultStore::load(shardPath);
+            presentLoaded[s] = 1;
+        }
+        auto held = present[s].find(item.first);
+        if (held != present[s].end() &&
+            held->second.key == item.second.key)
+            continue;
+        if (!seeds[s])
+            seeds[s] = std::make_unique<ResultStore>(
+                shardPath, /*truncate=*/false);
+        seeds[s]->record(item.second.result, item.second.key);
+    }
+}
+
 /** fork/exec one worker, stdout+stderr captured to logPath
- * (truncated on an instance's first attempt, appended on respawns so
- * the log shows every attempt). Returns the pid or -1. */
+ * (truncated on an instance's first attempt so a postmortem tail can
+ * never show a previous run's output, appended on respawns so the log
+ * shows every attempt). Returns the pid or -1. */
 long
 spawnWorker(const std::vector<std::string> &args,
             const std::string &logPath, bool firstAttempt)
@@ -255,7 +333,7 @@ spawnWorker(const std::vector<std::string> &args,
     ::execv(args[0].c_str(), argv.data());
     // Failed-exec path of a just-forked child: single thread by
     // construction.
-    std::fprintf(stderr, "campaign_ctl: cannot exec %s: %s\n",
+    std::fprintf(stderr, "campaign worker: cannot exec %s: %s\n",
                  args[0].c_str(),
                  std::strerror(errno)); // NOLINT(concurrency-mt-unsafe)
     ::_exit(127);
@@ -286,22 +364,6 @@ CampaignCtl::CampaignCtl(Manifest manifest, CampaignCtlOptions options)
 
 CampaignCtl::~CampaignCtl() = default;
 
-std::string
-CampaignCtl::journalPath(const ManifestCampaign &campaign) const
-{
-    if (!campaign.journal.empty())
-        return campaign.journal;
-    return options_.outDir + "/" + campaign.name + ".jsonl";
-}
-
-std::string
-CampaignCtl::reportPath(const ManifestCampaign &campaign) const
-{
-    if (!campaign.report.empty())
-        return campaign.report;
-    return options_.outDir + "/" + campaign.name + ".json";
-}
-
 void
 CampaignCtl::logLine(const std::string &line) const
 {
@@ -309,6 +371,28 @@ CampaignCtl::logLine(const std::string &line) const
         return;
     *options_.log << "[ctl] " << line << '\n';
     options_.log->flush();
+}
+
+std::vector<std::string>
+CampaignCtl::workerArgs(const Task &task, const std::string &journal,
+                        bool fresh) const
+{
+    const ManifestCampaign &campaign =
+        manifest_.campaigns[task.campaign];
+    // Workers run serial by default; the campaign's own args follow,
+    // so an explicit --threads among them wins (last flag wins).
+    std::vector<std::string> args{campaign.program, "--threads=1"};
+    args.insert(args.end(), campaign.args.begin(),
+                campaign.args.end());
+    args.push_back("--journal=" + journal);
+    if (task.kind == Task::Kind::Shard)
+        args.push_back(
+            strfmt("--shard=%u/%u", task.shard, campaign.shards));
+    else
+        args.push_back("--json=" + campaign.report);
+    if (fresh)
+        args.push_back("--fresh");
+    return args;
 }
 
 bool
@@ -320,40 +404,27 @@ CampaignCtl::startTask(std::size_t taskId)
 
     Task::Instance instance;
     if (task.kind == Task::Kind::Shard) {
-        instance.journal = ShardRunner::shardJournalPath(
-            journalPath(campaign), task.shard);
+        instance.journal =
+            shardJournalPath(campaign.journal, task.shard);
         instance.log = instance.journal + ".log";
         // A fresh suite must not resume stale shard journals even if
         // the worker dies before its own --fresh truncation runs.
         if (options_.fresh)
             std::remove(instance.journal.c_str());
     } else {
-        instance.journal = journalPath(campaign);
+        instance.journal = campaign.journal;
         instance.log = instance.journal + ".render.log";
     }
     task.instances.push_back(std::move(instance));
     Task::Instance &primary = task.instances.back();
 
-    std::vector<std::string> args;
-    args.push_back(campaign.program);
-    args.insert(args.end(), campaign.args.begin(),
-                campaign.args.end());
-    if (task.kind == Task::Kind::Shard) {
-        args.push_back(strfmt("--shard=%u/%u", task.shard,
-                              campaign.shards));
-        args.push_back("--journal=" + primary.journal);
-        if (options_.fresh)
-            args.push_back("--fresh");
-    } else {
-        args.push_back("--journal=" + primary.journal);
-        args.push_back("--json=" + reportPath(campaign));
-    }
-    args.push_back("--threads=1");
-
-    const long pid =
-        spawnWorker(args, primary.log, /*firstAttempt=*/true);
+    // Respawns and backups never pass --fresh: resuming the
+    // instance's journal is their point.
+    const long pid = spawnWorker(
+        workerArgs(task, primary.journal,
+                   options_.fresh && task.kind == Task::Kind::Shard),
+        primary.log, /*firstAttempt=*/true);
     if (pid < 0) {
-        primary.dead = true;
         // The orchestrator is single-threaded (fork-based fan-out).
         primary.error = strfmt(
             "fork failed: %s",
@@ -399,8 +470,6 @@ CampaignCtl::reissueStraggler()
         if (!anyLive)
             continue;
 
-        const ManifestCampaign &campaign =
-            manifest_.campaigns[task.campaign];
         const unsigned index =
             static_cast<unsigned>(task.instances.size());
         Task::Instance backup;
@@ -411,17 +480,9 @@ CampaignCtl::reissueStraggler()
                                  backup.journal))
             continue;
 
-        std::vector<std::string> args;
-        args.push_back(campaign.program);
-        args.insert(args.end(), campaign.args.begin(),
-                    campaign.args.end());
-        args.push_back(strfmt("--shard=%u/%u", task.shard,
-                              campaign.shards));
-        args.push_back("--journal=" + backup.journal);
-        args.push_back("--threads=1");
-
         const long pid =
-            spawnWorker(args, backup.log, /*firstAttempt=*/true);
+            spawnWorker(workerArgs(task, backup.journal, false),
+                        backup.log, /*firstAttempt=*/true);
         if (pid < 0)
             continue;
         backup.spawns = 1;
@@ -438,61 +499,85 @@ CampaignCtl::reissueStraggler()
 }
 
 void
+CampaignCtl::failTask(std::size_t taskId, unsigned instanceIdx)
+{
+    Task &task = tasks_[taskId];
+    const Task::Instance &last = task.instances[instanceIdx];
+    task.done = true;
+    task.ok = false;
+    CampaignOutcome &outcome = outcomes_[task.campaign];
+    // A fork that never happened left no log of this invocation.
+    const std::string tail =
+        last.spawns ? fileTail(last.log) : std::string();
+    if (outcome.error.empty()) {
+        outcome.error = strfmt("%s died after %u attempt(s): %s",
+                               task.label.c_str(), last.spawns,
+                               last.error.c_str());
+        if (!tail.empty())
+            outcome.error += "; log tail: " + tail;
+    }
+    if (task.kind == Task::Kind::Render) {
+        logLine("campaign " + outcome.name +
+                " FAILED: " + outcome.error);
+        return;
+    }
+    ShardOutcome &shard = outcome.shards[task.shard];
+    shard.error = last.error;
+    shard.log = last.log;
+    shard.logTail = tail;
+    if (--shardsLeft_[task.campaign] == 0)
+        finishCampaign(task.campaign);
+}
+
+void
 CampaignCtl::finishCampaign(std::size_t campaignIdx)
 {
     const ManifestCampaign &campaign =
         manifest_.campaigns[campaignIdx];
     CampaignOutcome &outcome = outcomes_[campaignIdx];
 
-    std::vector<std::string> inputs;
-    bool failed = false;
-    for (std::size_t taskId = 0; taskId < tasks_.size(); ++taskId) {
-        const Task &task = tasks_[taskId];
+    // Old campaign journal first (resume; --fresh removed it), then
+    // each shard's journals — last wins, so fresher shard results
+    // supersede. A dead shard still contributes every run its
+    // instances checkpointed before dying.
+    std::vector<std::string> inputs{outcome.journal};
+    for (const Task &task : tasks_) {
         if (task.campaign != campaignIdx ||
             task.kind != Task::Kind::Shard)
             continue;
-        if (!task.ok) {
-            failed = true;
+        if (task.ok) {
+            inputs.push_back(task.winnerJournal);
             continue;
         }
-        inputs.push_back(task.winnerJournal);
-    }
-    if (failed) {
-        logLine("campaign " + campaign.name +
-                " FAILED: " + outcome.error);
-        return;
-    }
-
-    // Old campaign journal first (resume), then the winning shard
-    // journals — last wins, so fresher shard results supersede.
-    if (!options_.fresh) {
-        std::ifstream existing(outcome.journal);
-        if (existing)
-            inputs.insert(inputs.begin(), outcome.journal);
+        for (const Task::Instance &instance : task.instances)
+            inputs.push_back(instance.journal);
     }
 
     std::string mergeError;
-    const std::string staging = outcome.journal + ".merging";
-    if (!ResultStore::merge(inputs, staging, &outcome.mergeStats,
-                            &mergeError) ||
-        std::rename(staging.c_str(), outcome.journal.c_str()) != 0) {
-        std::remove(staging.c_str());
-        outcome.error = mergeError.empty()
-                            ? "cannot finalize merged journal " +
-                                  outcome.journal
-                            : mergeError;
+    if (!ResultStore::merge(inputs, outcome.journal,
+                            &outcome.mergeStats, &mergeError)) {
+        if (outcome.error.empty())
+            outcome.error = mergeError;
+    } else {
+        logLine(strfmt(
+            "merge %s: %zu run(s) from %u input(s)%s",
+            campaign.name.c_str(), outcome.mergeStats.entries,
+            outcome.mergeStats.inputs,
+            outcome.mergeStats.corruptLines
+                ? strfmt(", %zu corrupt line(s) skipped",
+                         outcome.mergeStats.corruptLines)
+                      .c_str()
+                : ""));
+    }
+    if (!outcome.error.empty()) {
         logLine("campaign " + campaign.name +
                 " FAILED: " + outcome.error);
         return;
     }
-    logLine(strfmt("merge %s: %zu run(s) from %u input(s)%s",
-                   campaign.name.c_str(), outcome.mergeStats.entries,
-                   outcome.mergeStats.inputs,
-                   outcome.mergeStats.corruptLines
-                       ? strfmt(", %zu corrupt line(s) skipped",
-                                outcome.mergeStats.corruptLines)
-                           .c_str()
-                       : ""));
+    if (campaign.report.empty()) {
+        outcome.ok = true;
+        return;
+    }
 
     // The report pass re-invokes the bench against the merged
     // journal: every run is served from its checkpoint, so the
@@ -528,16 +613,15 @@ CampaignCtl::run()
         const ManifestCampaign &campaign = manifest_.campaigns[ci];
         CampaignOutcome outcome;
         outcome.name = campaign.name;
-        outcome.journal = journalPath(campaign);
-        outcome.report = reportPath(campaign);
+        outcome.journal = campaign.journal;
+        outcome.report = campaign.report;
+        outcome.shards.resize(campaign.shards);
         outcomes_.push_back(std::move(outcome));
 
         if (options_.fresh)
-            std::remove(outcomes_[ci].journal.c_str());
+            std::remove(campaign.journal.c_str());
         else
-            seedShardJournalsFromParent(outcomes_[ci].journal,
-                                        outcomes_[ci].journal,
-                                        campaign.shards);
+            seedShardJournals(campaign.journal, campaign.shards);
 
         shardsLeft_[ci] = campaign.shards;
         for (unsigned s = 0; s < campaign.shards; ++s) {
@@ -557,19 +641,9 @@ CampaignCtl::run()
             const std::size_t taskId = pending_[nextPending_++];
             if (!startTask(taskId)) {
                 // Could not even fork: the task fails permanently.
-                Task &task = tasks_[taskId];
-                task.done = true;
-                task.ok = false;
-                CampaignOutcome &outcome = outcomes_[task.campaign];
-                if (outcome.error.empty())
-                    outcome.error =
-                        task.label + ": " +
-                        task.instances.back().error;
-                logLine("dead " + task.label + ": " +
-                        task.instances.back().error);
-                if (task.kind == Task::Kind::Shard &&
-                    --shardsLeft_[task.campaign] == 0)
-                    finishCampaign(task.campaign);
+                logLine("dead " + tasks_[taskId].label + " instance 0: " +
+                        tasks_[taskId].instances.back().error);
+                failTask(taskId, 0);
             }
         }
         // Queue drained with slots to spare: speculatively back up
@@ -600,8 +674,6 @@ CampaignCtl::run()
         Task &task = tasks_[taskId];
         Task::Instance &instance = task.instances[instanceIdx];
         instance.live = false;
-        const ManifestCampaign &campaign =
-            manifest_.campaigns[task.campaign];
         CampaignOutcome &outcome = outcomes_[task.campaign];
 
         if (task.done) {
@@ -624,18 +696,17 @@ CampaignCtl::run()
             for (auto &entry : live_)
                 if (entry.second.first == taskId) {
                     ::kill(static_cast<pid_t>(entry.first), SIGKILL);
-                    task.instances[entry.second.second].superseded =
-                        true;
                     logLine(strfmt("supersede %s instance %u",
                                    task.label.c_str(),
                                    entry.second.second));
                 }
             if (task.kind == Task::Kind::Shard) {
+                outcome.shards[task.shard].ok = true;
                 if (--shardsLeft_[task.campaign] == 0)
                     finishCampaign(task.campaign);
             } else {
                 outcome.ok = outcome.error.empty();
-                logLine("report " + campaign.name + ": " +
+                logLine("report " + outcome.name + ": " +
                         outcome.report);
             }
             continue;
@@ -646,12 +717,11 @@ CampaignCtl::run()
         // deterministic verdict a respawn would only repeat.
         if (task.kind == Task::Kind::Render && WIFEXITED(status)) {
             task.done = true;
-            task.ok = false;
             if (outcome.error.empty())
                 outcome.error = strfmt(
                     "report render exited with status %d (log: %s)",
                     WEXITSTATUS(status), instance.log.c_str());
-            logLine("campaign " + campaign.name +
+            logLine("campaign " + outcome.name +
                     " FAILED: " + outcome.error);
             continue;
         }
@@ -660,21 +730,9 @@ CampaignCtl::run()
             // Respawn the same instance without --fresh: the
             // replacement resumes the instance's journal and repeats
             // only the runs the dead attempt had not checkpointed.
-            std::vector<std::string> args;
-            args.push_back(campaign.program);
-            args.insert(args.end(), campaign.args.begin(),
-                        campaign.args.end());
-            if (task.kind == Task::Kind::Shard) {
-                args.push_back(strfmt("--shard=%u/%u", task.shard,
-                                      campaign.shards));
-                args.push_back("--journal=" + instance.journal);
-            } else {
-                args.push_back("--journal=" + instance.journal);
-                args.push_back("--json=" + reportPath(campaign));
-            }
-            args.push_back("--threads=1");
-            const long next = spawnWorker(args, instance.log,
-                                          /*firstAttempt=*/false);
+            const long next =
+                spawnWorker(workerArgs(task, instance.journal, false),
+                            instance.log, /*firstAttempt=*/false);
             if (next >= 0) {
                 ++instance.spawns;
                 ++outcome.spawns;
@@ -687,34 +745,14 @@ CampaignCtl::run()
         }
 
         // This instance is out of lives.
-        instance.dead = true;
-        instance.error = ShardRunner::describeWaitStatus(status);
+        instance.error = describeWaitStatus(status);
         logLine(strfmt("dead %s instance %u: %s", task.label.c_str(),
                        instanceIdx, instance.error.c_str()));
         bool anyHope = false;
         for (const Task::Instance &other : task.instances)
             anyHope |= other.live;
-        if (anyHope)
-            continue;
-
-        task.done = true;
-        task.ok = false;
-        if (outcome.error.empty()) {
-            outcome.error = task.label + " died after " +
-                            strfmt("%u attempt(s): ", instance.spawns) +
-                            instance.error;
-            const std::string tail =
-                ShardRunner::fileTail(instance.log);
-            if (!tail.empty())
-                outcome.error += "; log tail: " + tail;
-        }
-        if (task.kind == Task::Kind::Shard) {
-            if (--shardsLeft_[task.campaign] == 0)
-                finishCampaign(task.campaign);
-        } else {
-            logLine("campaign " + campaign.name +
-                    " FAILED: " + outcome.error);
-        }
+        if (!anyHope)
+            failTask(taskId, instanceIdx);
     }
 
     unsigned failures = 0;

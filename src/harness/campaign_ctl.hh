@@ -1,18 +1,22 @@
 /**
  * @file
- * Campaign orchestrator: run a manifest of sharded campaigns across a
- * bounded pool of worker subprocesses — the layer above `bench
- * --workers N`, which dispatches ONE campaign. campaign_ctl keeps a
- * whole suite's shards flowing through the same pool, so a manifest
- * of heterogeneous campaigns (different bench binaries, args, shard
- * counts) saturates the machine without oversubscribing it.
+ * The campaign supervisor: run a manifest of sharded campaigns across
+ * a bounded pool of worker subprocesses. It is the one process
+ * supervisor of the harness — tools/campaign_ctl runs whole manifests
+ * through it, and a bench's `--workers N` runs its own campaign
+ * through it as a one-campaign manifest. The pool keeps a suite's
+ * shards flowing, so a manifest of heterogeneous campaigns (different
+ * bench binaries, args, shard counts) saturates the machine without
+ * oversubscribing it.
  *
- * The dispatch contract is the shard_runner one: every shard worker
- * is `program args... --shard I/N --journal J --threads 1`, every
+ * The dispatch contract: every shard worker is `program --threads=1
+ * args... --journal J --shard I/N` (the campaign's own args come after
+ * --threads=1, so an explicit --threads among them wins), every
  * campaign's shard journals merge (ResultStore::merge) into the
- * campaign journal, and the final report is rendered by re-invoking
- * the bench with the merged journal — so the orchestrated report is
- * byte-identical to a serial `program args --json=...` run.
+ * campaign journal, and when the campaign names a report it is
+ * rendered by re-invoking the bench with the merged journal — so the
+ * orchestrated report is byte-identical to a serial `program args
+ * --json=...` run.
  *
  * Fault handling, per shard task:
  *  - a dead worker (nonzero exit, signal, failed exec) is respawned
@@ -24,9 +28,11 @@
  *    journal, the first instance to finish wins and its siblings are
  *    killed — safe because instances never share a journal file and
  *    the merged result is index-keyed, not instance-keyed;
- *  - a task whose every instance died permanently fails its campaign,
- *    which is surfaced (no merge, no report, nonzero exit) instead of
- *    quietly shrinking the suite.
+ *  - a task whose every instance died permanently fails its campaign:
+ *    the runs its instances checkpointed still merge, but the
+ *    campaign is marked failed, no report is rendered, and the death
+ *    reason and log tail are kept per shard (CampaignOutcome::shards)
+ *    instead of quietly shrinking the suite.
  *
  * The scheduler is deterministic where determinism is visible: tasks
  * are dispatched in manifest order, so the sequence of first-attempt
@@ -52,13 +58,15 @@ namespace pth
  * count and artifact paths. */
 struct ManifestCampaign
 {
-    std::string name;               //!< unique; names artifacts + logs
+    std::string name;               //!< unique; labels logs
     std::string program;            //!< bench binary to exec
     std::vector<std::string> args;  //!< bench-specific knobs
     unsigned shards = 1;            //!< worker slice count
 
-    /** Campaign journal / report paths; empty means derive
-     * "<outDir>/<name>.jsonl" and "<outDir>/<name>.json". */
+    /** Campaign journal (shard journals and logs live beside it) and
+     * rendered report. The render pass runs only when report is set.
+     * campaign_ctl derives "<out>/<name>.jsonl" / ".json" for the
+     * paths a manifest leaves out. */
     std::string journal;
     std::string report;
 };
@@ -107,9 +115,6 @@ struct CampaignCtlOptions
     /** Discard existing journals; rerun everything. */
     bool fresh = false;
 
-    /** Directory for derived journal/report paths. */
-    std::string outDir = ".";
-
     /** Fault injection: "name/shard" first attempts to SIGKILL right
      * after spawn — the deterministic worker-crash hook the CI smoke
      * and the tests drive respawn-with-resume through. */
@@ -120,16 +125,26 @@ struct CampaignCtlOptions
     std::ostream *log = nullptr;
 };
 
+/** How one shard slice of a campaign ended. */
+struct ShardOutcome
+{
+    bool ok = false;            //!< some instance completed the slice
+    std::string error;          //!< decoded death reason when !ok
+    std::string log;            //!< the last dead instance's log
+    std::string logTail;        //!< end of that log when !ok
+};
+
 /** What happened to one campaign of the manifest. */
 struct CampaignOutcome
 {
     std::string name;
     std::string journal;        //!< merged campaign journal
-    std::string report;         //!< rendered JSON report
+    std::string report;         //!< rendered JSON report, if any
     bool ok = false;            //!< shards + merge + render all good
     std::string error;          //!< first failure reason when !ok
     unsigned spawns = 0;        //!< worker attempts across shards
     unsigned reissues = 0;      //!< backup instances spawned
+    std::vector<ShardOutcome> shards; //!< indexed by shard
     ResultStore::MergeStats mergeStats;
 };
 
@@ -144,7 +159,7 @@ class CampaignCtl
      * Dispatch every campaign's shards over the pool, merge and
      * render each campaign as its shards complete, and return the
      * number of failed campaigns (0 = whole manifest succeeded).
-     * POSIX-only (fork/exec/waitpid), like shard_runner.
+     * POSIX-only (fork/exec).
      */
     unsigned run();
 
@@ -154,16 +169,16 @@ class CampaignCtl
         return outcomes_;
     }
 
-    /** The artifact paths a campaign will use (derivation applied). */
-    std::string journalPath(const ManifestCampaign &campaign) const;
-    std::string reportPath(const ManifestCampaign &campaign) const;
-
   private:
     struct Task;
 
     void logLine(const std::string &line) const;
+    std::vector<std::string> workerArgs(const Task &task,
+                                        const std::string &journal,
+                                        bool fresh) const;
     bool startTask(std::size_t taskId);
     bool reissueStraggler();
+    void failTask(std::size_t taskId, unsigned instanceIdx);
     void finishCampaign(std::size_t campaignIdx);
 
     Manifest manifest_;
@@ -175,7 +190,7 @@ class CampaignCtl
     std::size_t nextPending_ = 0;
     std::vector<std::pair<long, std::pair<std::size_t, unsigned>>>
         live_;                          //!< pid -> (task, instance)
-    std::vector<unsigned> shardsLeft_;  //!< per campaign, incl. render
+    std::vector<unsigned> shardsLeft_;  //!< per campaign, unfinished
 };
 
 } // namespace pth

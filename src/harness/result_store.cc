@@ -1,5 +1,6 @@
 #include "harness/result_store.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -468,17 +469,32 @@ ResultStore::merge(const std::vector<std::string> &inputs,
                    const std::string &outPath, MergeStats *stats,
                    std::string *error)
 {
-    std::ofstream out(outPath, std::ios::out | std::ios::trunc);
-    if (!out) {
+    // Staged beside outPath and renamed over it only once complete, so
+    // no reader ever sees a half-written journal and a merge that read
+    // nothing leaves the previous file untouched.
+    const std::string staging = outPath + ".merging";
+    MergeStats local;
+    auto fail = [&](const std::string &why) {
+        std::remove(staging.c_str());
+        if (stats)
+            *stats = local;
         if (error)
-            *error = "cannot write merged journal: " + outPath;
+            *error = why;
         return false;
+    };
+    {
+        std::ofstream out(staging, std::ios::out | std::ios::trunc);
+        if (!out)
+            return fail("cannot write merged journal: " + staging);
+        if (!merge(inputs, out, &local))
+            return fail("short write on merged journal: " + staging);
     }
-    if (!merge(inputs, out, stats)) {
-        if (error)
-            *error = "short write on merged journal: " + outPath;
-        return false;
-    }
+    if (local.inputs == 0)
+        return fail("no readable input journal");
+    if (std::rename(staging.c_str(), outPath.c_str()) != 0)
+        return fail("cannot move " + staging + " into place");
+    if (stats)
+        *stats = local;
     return true;
 }
 

@@ -135,9 +135,11 @@ class ResultStore
      * have produced. A missing input is tolerated (a worker may die
      * before its first checkpoint) and counted in stats.
      *
-     * The stream overload writes the merged lines to out; the path
-     * overload truncates outPath and returns false — with a message
-     * in *error when given — only when it cannot be written.
+     * The stream overload writes the merged lines to out. The path
+     * overload stages the merge in outPath + ".merging" and renames it
+     * over outPath; it returns false — with a message in *error when
+     * given, and outPath left as it was — when the output cannot be
+     * written or moved into place, or when no input was readable.
      */
     static bool merge(const std::vector<std::string> &inputs,
                       std::ostream &out,

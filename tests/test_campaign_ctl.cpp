@@ -7,11 +7,11 @@
  * re-issued — renders final reports byte-identical to serial
  * single-process runs.
  *
- * The test binary is its own bench: invoked as
- * `test_campaign_ctl --pth-worker [--die-at=K] [--die-marker=PATH]
- * [--hang-at=K --hang-marker=PATH] [--fail-at=K] <bench flags>` it
- * behaves like a bench binary over a fixed 9-run campaign whose every
- * result field derives from the seed.
+ * The test binary is its own bench: invoked with `--pth-worker
+ * [--die-at=K] [--die-marker=PATH] [--hang-at=K --hang-marker=PATH]
+ * [--fail-at=K] <bench flags>` (in any order) it behaves like a bench
+ * binary over a fixed 9-run campaign whose every result field derives
+ * from the seed.
  *
  *  - --die-at=K: SIGKILL self when executing run K; with
  *    --die-marker, only while the marker file does not exist
@@ -117,7 +117,7 @@ makeCampaign(unsigned dieAt = kNone,
     return campaign;
 }
 
-/** Subprocess entry: argv[1] == "--pth-worker". Unlike test_shard's
+/** Subprocess entry: some argv[i] == "--pth-worker". Unlike test_shard's
  * worker this one also serves the render pass (no --shard), so it
  * honors --json and exits nonzero on failing runs, like a real
  * bench. */
@@ -131,7 +131,9 @@ workerMain(int argc, char **argv)
     std::string hangMarker;
     std::vector<char *> args;
     args.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            continue;
         if (!std::strncmp(argv[i], "--die-at=", 9))
             dieAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 9, nullptr, 10));
@@ -193,6 +195,24 @@ serialReport()
     return Campaign::toJson(campaign.run(serial));
 }
 
+/** A campaign over this test binary with its artifacts in outDir. */
+ManifestCampaign
+makeCampaignEntry(const std::string &outDir, const char *name,
+                  const std::vector<std::string> &extra,
+                  unsigned shards)
+{
+    ManifestCampaign campaign;
+    campaign.name = name;
+    campaign.program = gProgram;
+    campaign.args = {"--pth-worker"};
+    campaign.args.insert(campaign.args.end(), extra.begin(),
+                         extra.end());
+    campaign.shards = shards;
+    campaign.journal = outDir + "/" + name + ".jsonl";
+    campaign.report = outDir + "/" + name + ".json";
+    return campaign;
+}
+
 /** A two-campaign manifest over this test binary; extraArgs are
  * appended to the named campaign's worker args. */
 Manifest
@@ -202,30 +222,16 @@ makeManifest(const std::string &outDir,
              unsigned alphaShards = 3, unsigned betaShards = 2)
 {
     Manifest manifest;
-    ManifestCampaign alpha;
-    alpha.name = "alpha";
-    alpha.program = gProgram;
-    alpha.args = {"--pth-worker"};
-    alpha.args.insert(alpha.args.end(), alphaExtra.begin(),
-                      alphaExtra.end());
-    alpha.shards = alphaShards;
-    ManifestCampaign beta;
-    beta.name = "beta";
-    beta.program = gProgram;
-    beta.args = {"--pth-worker"};
-    beta.args.insert(beta.args.end(), betaExtra.begin(),
-                     betaExtra.end());
-    beta.shards = betaShards;
-    manifest.campaigns = {alpha, beta};
-    (void)outDir;
+    manifest.campaigns = {
+        makeCampaignEntry(outDir, "alpha", alphaExtra, alphaShards),
+        makeCampaignEntry(outDir, "beta", betaExtra, betaShards)};
     return manifest;
 }
 
 CampaignCtlOptions
-makeOptions(const std::string &outDir, std::ostream *log = nullptr)
+makeOptions(std::ostream *log = nullptr)
 {
     CampaignCtlOptions options;
-    options.outDir = outDir;
     options.workers = 3;
     options.fresh = true;
     options.log = log;
@@ -342,7 +348,7 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
 
     for (unsigned poolWidth : {1u, 2u, 8u}) {
         std::ostringstream log;
-        CampaignCtlOptions options = makeOptions(outDir, &log);
+        CampaignCtlOptions options = makeOptions(&log);
         options.workers = poolWidth;
         CampaignCtl ctl(makeManifest(outDir), options);
         ASSERT_EQ(ctl.run(), 0u) << "pool width " << poolWidth;
@@ -361,7 +367,7 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
 TEST(CampaignCtl, ManifestReportsAreByteIdenticalToSerial)
 {
     const std::string outDir = tempDir("serial");
-    CampaignCtl ctl(makeManifest(outDir), makeOptions(outDir));
+    CampaignCtl ctl(makeManifest(outDir), makeOptions());
     ASSERT_EQ(ctl.run(), 0u);
 
     const std::string expected = serialReport();
@@ -385,7 +391,7 @@ TEST(CampaignCtl, KilledWorkerIsRespawnedAndReportMatchesSerial)
     // worker owns run 4 kills itself MID-CAMPAIGN after
     // checkpointing earlier runs (die-at + marker to survive the
     // respawn). Both recover to byte-identical reports.
-    CampaignCtlOptions options = makeOptions(outDir);
+    CampaignCtlOptions options = makeOptions();
     options.injectKills.emplace_back("alpha", 1u);
     CampaignCtl ctl(
         makeManifest(outDir, {},
@@ -423,7 +429,7 @@ TEST(CampaignCtl, PermanentlyDeadShardFailsItsCampaignOnly)
     // attempt. Its campaign must fail loudly; alpha is unaffected.
     std::ostringstream log;
     CampaignCtl ctl(makeManifest(outDir, {}, {"--die-at=4"}),
-                    makeOptions(outDir, &log));
+                    makeOptions(&log));
     EXPECT_EQ(ctl.run(), 1u);
 
     const CampaignOutcome &alpha = ctl.outcomes()[0];
@@ -439,6 +445,38 @@ TEST(CampaignCtl, PermanentlyDeadShardFailsItsCampaignOnly)
     EXPECT_NE(log.str().find("campaign beta FAILED"),
               std::string::npos);
     EXPECT_TRUE(readFile(beta.report).empty());
+    // The dead shard still merged what it checkpointed (runs 0 and 2
+    // before dying at 4), next to the surviving shard's five runs, and
+    // its death reason is kept per shard.
+    EXPECT_EQ(beta.mergeStats.entries, 6u);
+    ASSERT_EQ(beta.shards.size(), 2u);
+    EXPECT_FALSE(beta.shards[0].ok);
+    EXPECT_NE(beta.shards[0].error.find("signal"), std::string::npos);
+    EXPECT_TRUE(beta.shards[1].ok);
+}
+
+TEST(CampaignCtl, CampaignWithoutReportMergesAndSkipsTheRender)
+{
+    const std::string outDir = tempDir("noreport");
+    Manifest manifest;
+    manifest.campaigns = {makeCampaignEntry(outDir, "alpha", {}, 3)};
+    manifest.campaigns[0].report.clear();
+
+    std::ostringstream log;
+    CampaignCtl ctl(manifest, makeOptions(&log));
+    ASSERT_EQ(ctl.run(), 0u);
+
+    const CampaignOutcome &outcome = ctl.outcomes()[0];
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.spawns, 3u);
+    EXPECT_EQ(log.str().find("/render"), std::string::npos);
+
+    // The merged journal serves the serial report without executing.
+    Campaign campaign = makeCampaign();
+    CampaignOptions serve;
+    serve.threads = 1;
+    serve.journalPath = outcome.journal;
+    EXPECT_EQ(Campaign::toJson(campaign.run(serve)), serialReport());
 }
 
 TEST(CampaignCtl, HungWorkerIsReissuedAndBackupWins)
@@ -453,16 +491,11 @@ TEST(CampaignCtl, HungWorkerIsReissuedAndBackupWins)
     // (or the primary, if the backup claimed the marker first) sails
     // past and wins, the loser is superseded and killed.
     Manifest manifest;
-    ManifestCampaign alpha;
-    alpha.name = "alpha";
-    alpha.program = gProgram;
-    alpha.args = {"--pth-worker", "--hang-at=4",
-                  "--hang-marker=" + marker};
-    alpha.shards = 2;
-    manifest.campaigns = {alpha};
+    manifest.campaigns = {makeCampaignEntry(
+        outDir, "alpha", {"--hang-at=4", "--hang-marker=" + marker}, 2)};
 
     std::ostringstream log;
-    CampaignCtlOptions options = makeOptions(outDir, &log);
+    CampaignCtlOptions options = makeOptions(&log);
     options.workers = 2;
     options.maxReissues = 1;
     CampaignCtl ctl(manifest, options);
@@ -490,7 +523,7 @@ TEST(CampaignCtl, SimulationFailureSurfacesThroughTheRenderPass)
     // without any respawn churn (the verdict is deterministic).
     std::ostringstream log;
     CampaignCtl ctl(makeManifest(outDir, {}, {"--fail-at=4"}),
-                    makeOptions(outDir, &log));
+                    makeOptions(&log));
     EXPECT_EQ(ctl.run(), 1u);
 
     const CampaignOutcome &beta = ctl.outcomes()[1];
@@ -512,7 +545,7 @@ TEST(CampaignCtl, RerunResumesFromMergedJournalsWithoutRecompute)
         makeManifest(outDir, {"--die-at=4"}, {"--die-at=4"});
 
     // First pass: clean run WITHOUT the die flag to build journals.
-    CampaignCtl first(makeManifest(outDir), makeOptions(outDir));
+    CampaignCtl first(makeManifest(outDir), makeOptions());
     ASSERT_EQ(first.run(), 0u);
     const std::string alphaReport =
         readFile(first.outcomes()[0].report);
@@ -521,7 +554,7 @@ TEST(CampaignCtl, RerunResumesFromMergedJournalsWithoutRecompute)
     // if they ever EXECUTE run 4: every shard journal is seeded from
     // the merged campaign journal, so nothing executes, nobody dies,
     // and the reports come out identical.
-    CampaignCtlOptions options = makeOptions(outDir);
+    CampaignCtlOptions options = makeOptions();
     options.fresh = false;
     CampaignCtl second(manifest, options);
     ASSERT_EQ(second.run(), 0u);
@@ -548,8 +581,11 @@ main(int argc, char **argv)
         n > 0 ? std::string(self, static_cast<std::size_t>(n))
               : std::string(argv[0]);
 
-    if (argc > 1 && !std::strcmp(argv[1], "--pth-worker"))
-        return pth::ctltest::workerMain(argc, argv);
+    // The supervisor puts its own --threads=1 ahead of the campaign's
+    // args, so the worker marker may sit anywhere.
+    for (int i = 1; i < argc; ++i)
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            return pth::ctltest::workerMain(argc, argv);
 
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -6,16 +6,18 @@
  * (SIGKILL, nothing flushed) mid-shard and respawned to resume from
  * its own journal.
  *
- * The test binary is its own shard worker: invoked as
- * `test_shard --pth-worker [--die-at=K] [--die-marker=PATH] <bench
- * flags>` it behaves like a bench binary (BenchCli + runCampaign)
- * over a fixed 9-run campaign, so ShardRunner and the BenchCli
- * --workers parent path are exercised against real subprocesses.
- * --die-at=K makes the worker SIGKILL itself when it reaches run K;
- * with --die-marker the suicide happens only while the marker file
- * does not exist (created just before dying), so the respawned
- * worker survives — without it the worker dies on every attempt,
- * which is how a permanently lost shard is simulated.
+ * The test binary is its own shard worker: invoked with
+ * `--pth-worker [--die-at=K] [--die-marker=PATH]
+ * [--record-threads=PATH] <bench flags>` (in any order) it behaves
+ * like a bench binary (BenchCli + runCampaign) over a fixed 9-run
+ * campaign, so CampaignCtl and the BenchCli --workers parent path are
+ * exercised against real subprocesses. --die-at=K makes the worker
+ * SIGKILL itself when it reaches run K; with --die-marker the suicide
+ * happens only while the marker file does not exist (created just
+ * before dying), so the respawned worker survives — without it the
+ * worker dies on every attempt, which is how a permanently lost shard
+ * is simulated. --record-threads appends "<shard> <threads>" — the
+ * worker's parsed --shard index and thread count — to PATH.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,8 +37,8 @@
 #include "common/table.hh"
 #include "harness/bench_cli.hh"
 #include "harness/campaign.hh"
+#include "harness/campaign_ctl.hh"
 #include "harness/result_store.hh"
-#include "harness/shard_runner.hh"
 
 namespace pth
 {
@@ -99,26 +102,35 @@ makeCampaign(unsigned dieAtIndex = kNoDie,
     return campaign;
 }
 
-/** Subprocess entry: argv[1] == "--pth-worker". */
+/** Subprocess entry: some argv[i] == "--pth-worker". */
 int
 workerMain(int argc, char **argv)
 {
     unsigned dieAt = kNoDie;
     std::string marker;
+    std::string recordThreads;
     std::vector<char *> args;
     args.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            continue;
         if (!std::strncmp(argv[i], "--die-at=", 9))
             dieAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 9, nullptr, 10));
         else if (!std::strncmp(argv[i], "--die-marker=", 13))
             marker = argv[i] + 13;
+        else if (!std::strncmp(argv[i], "--record-threads=", 17))
+            recordThreads = argv[i] + 17;
         else
             args.push_back(argv[i]);
     }
     BenchCli cli =
         BenchCli::parse(static_cast<int>(args.size()), args.data(),
                         "test_shard worker");
+    if (!recordThreads.empty())
+        std::ofstream(recordThreads, std::ios::app)
+            << cli.options.shardIndex << ' ' << cli.options.threads
+            << '\n';
     Campaign campaign = makeCampaign(dieAt, marker);
     cli.runCampaign(campaign); // worker mode: exits inside
     return 0;
@@ -137,6 +149,20 @@ void
 removeFile(const std::string &path)
 {
     std::remove(path.c_str());
+}
+
+/** Remove a --workers journal and every shard artifact beside it:
+ * shard journals, backup-instance copies and their logs. */
+void
+removeWorkerArtifacts(const std::string &journal, unsigned shards)
+{
+    for (unsigned s = 0; s < shards; ++s) {
+        const std::string shard = journal + strfmt(".shard%u", s);
+        for (const std::string &path :
+             {shard, shard + ".log", shard + ".r1", shard + ".r1.log"})
+            removeFile(path);
+    }
+    removeFile(journal);
 }
 
 std::string
@@ -356,41 +382,61 @@ TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
     const std::string base = tempPath("kill.jsonl");
     const std::string marker = tempPath("kill.marker");
     const std::string merged = tempPath("kill_merged.jsonl");
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(base + strfmt(".shard%u", s));
-        removeFile(base + strfmt(".shard%u.log", s));
-    }
+    removeWorkerArtifacts(base, 3);
     removeFile(marker);
     removeFile(merged);
 
-    ShardRunnerOptions options;
-    options.program = gProgram;
+    ManifestCampaign job;
+    job.name = "kill";
+    job.program = gProgram;
     // Worker 1 owns run 4 (4 % 3 == 1): it SIGKILLs itself there on
     // the first attempt, after checkpointing run 1.
-    options.args = {"--pth-worker", "--die-at=4",
-                    "--die-marker=" + marker};
+    job.args = {"--pth-worker", "--die-at=4", "--die-marker=" + marker};
+    job.shards = 3;
+    job.journal = base;
+    Manifest manifest;
+    manifest.campaigns = {job};
+    CampaignCtlOptions options;
     options.workers = 3;
-    options.journalBase = base;
     options.fresh = true;
-    ShardRunner runner(options);
-    std::vector<ShardWorkerReport> reports = runner.run();
+    // Straggler re-issue is timing-dependent; off, so the spawn count
+    // below is exact.
+    options.maxReissues = 0;
+    std::ostringstream log;
+    options.log = &log;
+    CampaignCtl ctl(manifest, options);
+    ASSERT_EQ(ctl.run(), 0u);
 
-    ASSERT_EQ(reports.size(), 3u);
-    unsigned respawned = 0;
-    for (const ShardWorkerReport &report : reports) {
-        EXPECT_TRUE(report.ok)
-            << "worker " << report.shard << ": " << report.error;
-        respawned += report.spawns > 1;
-    }
-    EXPECT_EQ(respawned, 1u);
+    const CampaignOutcome &outcome = ctl.outcomes()[0];
+    ASSERT_EQ(outcome.shards.size(), 3u);
+    for (unsigned s = 0; s < 3; ++s)
+        EXPECT_TRUE(outcome.shards[s].ok)
+            << "worker " << s << ": " << outcome.shards[s].error;
+    // Exactly one respawn: three first attempts plus worker 1's.
+    EXPECT_EQ(outcome.spawns, 4u);
+    const std::string dispatch = log.str();
+    std::size_t respawns = 0;
+    for (std::size_t at = dispatch.find("respawn ");
+         at != std::string::npos;
+         at = dispatch.find("respawn ", at + 1))
+        ++respawns;
+    EXPECT_EQ(respawns, 1u);
+    EXPECT_NE(dispatch.find("respawn kill/1"), std::string::npos);
 
     // The killed worker's journal holds its pre-death checkpoint AND
     // the resumed remainder — merged, the report is byte-identical
-    // to serial.
+    // to serial, and the supervisor's own merge wrote the same bytes.
     std::vector<std::string> shardJournals;
     for (unsigned s = 0; s < 3; ++s)
-        shardJournals.push_back(runner.shardJournalPath(s));
+        shardJournals.push_back(base + strfmt(".shard%u", s));
     ASSERT_TRUE(ResultStore::merge(shardJournals, merged, nullptr));
+    std::ifstream mergedIn(merged);
+    std::ifstream baseIn(base);
+    std::stringstream mergedBytes;
+    std::stringstream baseBytes;
+    mergedBytes << mergedIn.rdbuf();
+    baseBytes << baseIn.rdbuf();
+    EXPECT_EQ(baseBytes.str(), mergedBytes.str());
 
     const std::string expected = serialReport();
     Campaign campaign = makeCampaign();
@@ -401,10 +447,7 @@ TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
     EXPECT_EQ(Campaign::toJson(campaign.run(serve)), expected);
     EXPECT_EQ(gExecutions.load(), 0u);
 
-    for (const std::string &journal : shardJournals) {
-        removeFile(journal);
-        removeFile(journal + ".log");
-    }
+    removeWorkerArtifacts(base, 3);
     removeFile(marker);
     removeFile(merged);
 }
@@ -412,11 +455,7 @@ TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
 TEST(Shard, WorkersParentPathIsByteIdenticalAndResumable)
 {
     const std::string journal = tempPath("parent.jsonl");
-    for (unsigned s = 0; s < 4; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 4);
 
     Campaign campaign = makeCampaign();
 
@@ -438,21 +477,55 @@ TEST(Shard, WorkersParentPathIsByteIdenticalAndResumable)
               serialReport());
     EXPECT_EQ(second.workerDeaths, 0u);
 
-    for (unsigned s = 0; s < 4; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
+    removeWorkerArtifacts(journal, 4);
+}
+
+TEST(Shard, WorkersForwardExplicitThreadsToEveryWorker)
+{
+    const std::string journal = tempPath("threads.jsonl");
+    const std::string record = tempPath("threads.record");
+    Campaign campaign = makeCampaign();
+
+    // Without --threads every worker runs serial; with --threads 2
+    // every worker (backups included) gets --threads=2.
+    for (unsigned threads : {1u, 2u}) {
+        removeWorkerArtifacts(journal, 2);
+        removeFile(record);
+        std::vector<std::string> args = {gProgram, "--workers", "2",
+                                         "--journal=" + journal,
+                                         "--fresh"};
+        if (threads != 1) {
+            args.push_back("--threads");
+            args.push_back(strfmt("%u", threads));
+        }
+        BenchCli cli = parseArgs(
+            args, {"--pth-worker", "--record-threads=" + record});
+        EXPECT_EQ(Campaign::toJson(cli.runCampaign(campaign)),
+                  serialReport());
+        EXPECT_EQ(cli.workerDeaths, 0u);
+
+        std::ifstream in(record);
+        unsigned shard = 0;
+        unsigned seen = 0;
+        std::vector<unsigned> shards;
+        while (in >> shard >> seen) {
+            EXPECT_EQ(seen, threads) << "shard " << shard;
+            shards.push_back(shard);
+        }
+        std::sort(shards.begin(), shards.end());
+        shards.erase(std::unique(shards.begin(), shards.end()),
+                     shards.end());
+        EXPECT_EQ(shards, (std::vector<unsigned>{0, 1}));
     }
-    removeFile(journal);
+
+    removeWorkerArtifacts(journal, 2);
+    removeFile(record);
 }
 
 TEST(Shard, WorkersResumeFromTheParentJournal)
 {
     const std::string journal = tempPath("seeded.jsonl");
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 
     // Complete the campaign single-process into the parent journal.
     Campaign campaign = makeCampaign();
@@ -472,21 +545,13 @@ TEST(Shard, WorkersResumeFromTheParentJournal)
     EXPECT_EQ(cli.workerDeaths, 0u);
     EXPECT_EQ(Campaign::toJson(results), expected);
 
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 }
 
 TEST(Shard, DeadWorkerSurfacesInReportAndFailureCount)
 {
     const std::string journal = tempPath("dead.jsonl");
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 
     Campaign campaign = makeCampaign();
 
@@ -512,11 +577,7 @@ TEST(Shard, DeadWorkerSurfacesInReportAndFailureCount)
     EXPECT_NE(results[4].error.find("died"), std::string::npos);
     EXPECT_GT(cli.failureCount(results), 0u);
 
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 }
 
 TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
@@ -529,6 +590,48 @@ TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
     EXPECT_EXIT(parseArgs({gProgram, "--shard=0/3",
                            "--journal=x.jsonl", "--workers=2"}),
                 testing::ExitedWithCode(2), "mutually exclusive");
+}
+
+TEST(ShardCliDeath, NumericFlagsAreStrict)
+{
+    // A value must be one whole decimal integer in range: no silent
+    // "one per core" for garbage, no wrapped-around counts, no
+    // trailing junk.
+    EXPECT_EXIT(parseArgs({gProgram, "--workers=abc"}),
+                testing::ExitedWithCode(2), "bad --workers 'abc'");
+    EXPECT_EXIT(parseArgs({gProgram, "--workers", "-1"}),
+                testing::ExitedWithCode(2), "bad --workers '-1'");
+    EXPECT_EXIT(parseArgs({gProgram, "--workers=+2"}),
+                testing::ExitedWithCode(2), "bad --workers");
+    EXPECT_EXIT(parseArgs({gProgram, "--workers=99999999999"}),
+                testing::ExitedWithCode(2), "bad --workers");
+    EXPECT_EXIT(parseArgs({gProgram, "--harts", "2x"}),
+                testing::ExitedWithCode(2), "bad --harts '2x'");
+    EXPECT_EXIT(parseArgs({gProgram, "--harts=0"}),
+                testing::ExitedWithCode(2), "bad --harts");
+    EXPECT_EXIT(parseArgs({gProgram, "--threads=4 "}),
+                testing::ExitedWithCode(2), "bad --threads");
+    EXPECT_EXIT(parseArgs({gProgram, "--pool-threads="}),
+                testing::ExitedWithCode(2), "bad --pool-threads");
+    EXPECT_EXIT(parseArgs({gProgram, "--interleave=seeded:7x"}),
+                testing::ExitedWithCode(2), "bad --interleave");
+}
+
+TEST(ShardCli, NumericFlagsKeepTheirDocumentedMeaning)
+{
+    // 0 and negative thread counts mean "all cores"; 0 workers means
+    // one per core.
+    BenchCli cli = parseArgs({gProgram, "--threads=-3",
+                              "--pool-threads", "0", "--workers=0",
+                              "--harts=4", "--interleave=seeded:9"});
+    EXPECT_EQ(cli.options.threads, 0u);
+    EXPECT_TRUE(cli.threadsExplicit);
+    EXPECT_EQ(cli.pool.threads, 0u);
+    EXPECT_EQ(cli.workers, 0u);
+    EXPECT_EQ(cli.harts, 4u);
+    EXPECT_EQ(cli.interleaveSeed, 9u);
+    EXPECT_EQ(parseArgs({gProgram, "--threads", "3"}).options.threads,
+              3u);
 }
 
 } // namespace
@@ -547,8 +650,11 @@ main(int argc, char **argv)
         n > 0 ? std::string(self, static_cast<std::size_t>(n))
               : std::string(argv[0]);
 
-    if (argc > 1 && !std::strcmp(argv[1], "--pth-worker"))
-        return pth::shardtest::workerMain(argc, argv);
+    // Supervisors put their own flags ahead of the campaign's, so the
+    // worker marker may sit anywhere.
+    for (int i = 1; i < argc; ++i)
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            return pth::shardtest::workerMain(argc, argv);
 
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -353,6 +353,45 @@ TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
     std::remove(ok.c_str());
 }
 
+TEST(CampaignCtlCli, NumericFlagsAreStrict)
+{
+    const std::string ok = tempPath("ctl_numeric.json");
+    {
+        std::ofstream os(ok, std::ios::trunc);
+        os << R"({"campaigns": [{"name": "a", "program": "/bin/true",
+                  "shards": 2}]})";
+    }
+    // Each must be rejected before anything is spawned: negative
+    // counts used to wrap to ~4 billion respawns or pool slots, and
+    // trailing junk used to be ignored.
+    const std::vector<std::vector<std::string>> bad = {
+        {"--max-respawns=-1"}, {"--workers=-1"},
+        {"--workers", "abc"},  {"--max-reissues=1x"},
+        {"--workers="},        {"--inject-kill", "a/-1"},
+        {"--inject-kill=a/1x"},
+    };
+    for (const std::vector<std::string> &flags : bad) {
+        std::vector<std::string> args = {ok};
+        args.insert(args.end(), flags.begin(), flags.end());
+        const CliResult result = runCli(PTH_TOOL_CAMPAIGN_CTL, args);
+        EXPECT_EQ(result.exit, 2) << flags[0];
+        EXPECT_NE(result.err.find("bad "), std::string::npos)
+            << result.err;
+    }
+
+    // A following flag is not a value: "--out --fresh" is a missing
+    // value, not an output directory named "--fresh".
+    const CliResult missing =
+        runCli(PTH_TOOL_CAMPAIGN_CTL, {ok, "--out", "--fresh"});
+    EXPECT_EQ(missing.exit, 2);
+    EXPECT_NE(missing.err.find("missing value for '--out'"),
+              std::string::npos)
+        << missing.err;
+    EXPECT_FALSE(std::ifstream("--fresh").good());
+
+    std::remove(ok.c_str());
+}
+
 TEST(CampaignCtlCli, PermanentWorkerDeathYieldsNonzeroExit)
 {
     const std::string outDir = testing::TempDir() + "pth_cli_ctl";

@@ -14,6 +14,10 @@
  *                [--max-respawns N] [--max-reissues N]
  *                [--inject-kill NAME/SHARD] [--quiet]
  *
+ * A campaign without explicit journal/report paths gets
+ * "<out>/<name>.jsonl" and "<out>/<name>.json". Numeric values must be
+ * whole decimal integers (common/parse.hh).
+ *
  * Exit status: the number of failed campaigns (0 = all good, 2 on
  * usage or manifest errors), so the tool drops straight into CI.
  */
@@ -26,6 +30,7 @@
 
 #include <sys/stat.h>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "harness/campaign_ctl.hh"
 
@@ -57,17 +62,33 @@ main(int argc, char **argv)
         "  --quiet         suppress the dispatch log\n";
 
     std::string manifestPath;
+    std::string outDir = ".";
     CampaignCtlOptions options;
     options.log = &std::cout;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        // "--flag=VALUE" or "--flag VALUE"; a following token that is
+        // itself a flag is not a value, so "--out --fresh" is a
+        // missing value rather than a directory named "--fresh".
         auto value = [&](const char *flag) -> const char * {
             const std::size_t n = std::strlen(flag);
             if (!std::strncmp(arg, flag, n) && arg[n] == '=')
                 return arg + n + 1;
-            if (!std::strcmp(arg, flag) && i + 1 < argc)
+            if (std::strcmp(arg, flag) != 0)
+                return nullptr;
+            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2))
                 return argv[++i];
-            return nullptr;
+            std::fprintf(stderr, "missing value for '%s'\n%s", flag,
+                         usage);
+            std::exit(2);
+        };
+        auto count = [&](const char *flag, const char *text,
+                         unsigned &out) {
+            if (parseCount(text, out))
+                return;
+            std::fprintf(stderr, "bad %s '%s' (need a count)\n", flag,
+                         text);
+            std::exit(2);
         };
         if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
             std::fputs(usage, stdout);
@@ -77,23 +98,17 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--quiet")) {
             options.log = nullptr;
         } else if (const char *workersArg = value("--workers")) {
-            options.workers = static_cast<unsigned>(
-                std::strtoul(workersArg, nullptr, 10));
+            count("--workers", workersArg, options.workers);
         } else if (const char *outArg = value("--out")) {
-            options.outDir = outArg;
+            outDir = outArg;
         } else if (const char *respawnsArg = value("--max-respawns")) {
-            options.maxRespawns = static_cast<unsigned>(
-                std::strtoul(respawnsArg, nullptr, 10));
+            count("--max-respawns", respawnsArg, options.maxRespawns);
         } else if (const char *reissuesArg = value("--max-reissues")) {
-            options.maxReissues = static_cast<unsigned>(
-                std::strtoul(reissuesArg, nullptr, 10));
+            count("--max-reissues", reissuesArg, options.maxReissues);
         } else if (const char *v = value("--inject-kill")) {
             const char *slash = std::strrchr(v, '/');
-            char excess = 0;
             unsigned shard = 0;
-            if (!slash || slash == v ||
-                std::sscanf(slash + 1, "%u%c", &shard, &excess) !=
-                    1) {
+            if (!slash || slash == v || !parseCount(slash + 1, shard)) {
                 std::fprintf(stderr,
                              "bad --inject-kill '%s' (use"
                              " NAME/SHARD)\n",
@@ -139,8 +154,14 @@ main(int argc, char **argv)
         }
     }
 
-    // Best-effort: derived artifact paths live under --out.
-    ::mkdir(options.outDir.c_str(), 0755);
+    // Derived artifact paths live under --out (created best-effort).
+    for (ManifestCampaign &campaign : manifest.campaigns) {
+        if (campaign.journal.empty())
+            campaign.journal = outDir + "/" + campaign.name + ".jsonl";
+        if (campaign.report.empty())
+            campaign.report = outDir + "/" + campaign.name + ".json";
+    }
+    ::mkdir(outDir.c_str(), 0755);
 
     CampaignCtl ctl(std::move(manifest), std::move(options));
     const unsigned failures = ctl.run();

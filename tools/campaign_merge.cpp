@@ -74,26 +74,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // File output is staged and renamed into place only after the
-    // merge proves it read something, so a typo'd invocation can
+    // File output is staged and renamed into place by the merge only
+    // once it proves it read something, so a typo'd invocation can
     // never truncate an existing merged journal to nothing.
-    const bool toStdout = outPath.empty();
-    const std::string staging = outPath + ".merging";
     ResultStore::MergeStats stats;
-    std::string error;
+    std::string error = "short write to stdout";
     const bool merged =
-        toStdout ? ResultStore::merge(inputs, std::cout, &stats)
-                 : ResultStore::merge(inputs, staging, &stats,
-                                      &error);
-    if (!merged) {
-        if (!toStdout) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            std::remove(staging.c_str());
-        } else {
-            std::fprintf(stderr, "short write to stdout\n");
-        }
-        return 1;
-    }
+        outPath.empty()
+            ? ResultStore::merge(inputs, std::cout, &stats)
+            : ResultStore::merge(inputs, outPath, &stats, &error);
 
     if (stats.missingInputs)
         std::fprintf(stderr,
@@ -110,18 +99,10 @@ main(int argc, char **argv)
                  " superseded duplicate(s))\n",
                  stats.entries, stats.inputs, stats.overwritten);
 
-    if (stats.inputs == 0) {
-        std::fprintf(stderr, "no readable input journal\n");
-        if (!toStdout)
-            std::remove(staging.c_str());
-        return 1;
-    }
-
-    if (!toStdout &&
-        std::rename(staging.c_str(), outPath.c_str()) != 0) {
-        std::fprintf(stderr, "cannot move %s into place\n",
-                     staging.c_str());
-        std::remove(staging.c_str());
+    if (!merged || stats.inputs == 0) {
+        std::fprintf(stderr, "%s\n",
+                     merged ? "no readable input journal"
+                            : error.c_str());
         return 1;
     }
     return 0;
