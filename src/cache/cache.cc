@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -8,11 +10,9 @@ namespace pth
 
 Cache::Cache(const CacheConfig &config, std::string name)
     : cfg(config), label(std::move(name)), hash(config.slices),
-      lines(config.sets * config.slices * config.ways),
-      policy(ReplacementPolicy::create(config.replacement,
-                                       config.sets * config.slices,
-                                       config.ways,
-                                       mix64(config.sets + config.ways)))
+      lines(config.sets * config.slices * config.ways, 0),
+      policy(config.replacement, config.sets * config.slices, config.ways,
+             mix64(config.sets + config.ways))
 {
     pth_assert(isPow2(cfg.sets), "cache sets must be a power of two");
     pth_assert(cfg.ways >= 1, "cache needs at least one way");
@@ -20,8 +20,8 @@ Cache::Cache(const CacheConfig &config, std::string name)
 
 Cache::Cache(const Cache &other)
     : cfg(other.cfg), label(other.label), hash(other.hash),
-      lines(other.lines), policy(other.policy->clone()),
-      nHits(other.nHits), nMisses(other.nMisses)
+      lines(other.lines), policy(other.policy), nHits(other.nHits),
+      nMisses(other.nMisses)
 {
 }
 
@@ -29,9 +29,9 @@ std::uint64_t
 Cache::stateHash() const
 {
     std::uint64_t h = hashCombine(0x5ca1e, nHits);
-    h = hashCombine(h, nMisses, policy->stateHash());
-    for (const Line &line : lines)
-        h = hashCombine(h, line.valid ? line.tag | (1ull << 63) : 0);
+    h = hashCombine(h, nMisses, policy.stateHash());
+    for (std::uint64_t line : lines)
+        h = hashCombine(h, line);
     return h;
 }
 
@@ -54,53 +54,27 @@ Cache::globalSet(PhysAddr pa) const
            setIndex(pa);
 }
 
-std::uint64_t
-Cache::tagOf(PhysAddr pa) const
-{
-    // The full line address doubles as the tag: exact reconstruction of
-    // evicted line addresses is required for inclusive back-invalidation.
-    return pa >> kLineShift;
-}
-
-Cache::Line &
-Cache::lineAt(std::uint64_t set, unsigned way)
-{
-    return lines[set * cfg.ways + way];
-}
-
-const Cache::Line &
-Cache::lineAt(std::uint64_t set, unsigned way) const
-{
-    return lines[set * cfg.ways + way];
-}
-
 bool
 Cache::contains(PhysAddr pa) const
 {
-    std::uint64_t set = globalSet(pa);
-    std::uint64_t tag = tagOf(pa);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        const Line &line = lineAt(set, w);
-        if (line.valid && line.tag == tag)
+    const std::uint64_t *row = &lines[globalSet(pa) * cfg.ways];
+    const std::uint64_t want = lineWord(pa);
+    for (unsigned w = 0; w < cfg.ways; ++w)
+        if (row[w] == want)
             return true;
-    }
     return false;
 }
 
 bool
 Cache::access(PhysAddr pa)
 {
-    // Row base hoisted out of the way scan: lineAt() re-derives
-    // set * ways per probe, and all three levels run this loop on
-    // every memory reference — it dominates the per-access profile.
     const std::uint64_t set = globalSet(pa);
-    const std::uint64_t tag = tagOf(pa);
-    Line *row = &lines[set * cfg.ways];
+    const std::uint64_t want = lineWord(pa);
+    const std::uint64_t *row = &lines[set * cfg.ways];
     const unsigned ways = cfg.ways;
     for (unsigned w = 0; w < ways; ++w) {
-        Line &line = row[w];
-        if (line.valid && line.tag == tag) {
-            policy->touch(set, w);
+        if (row[w] == want) {
+            policy.touch(set, w);
             ++nHits;
             return true;
         }
@@ -113,52 +87,44 @@ std::optional<PhysAddr>
 Cache::fill(PhysAddr pa)
 {
     const std::uint64_t set = globalSet(pa);
-    const std::uint64_t tag = tagOf(pa);
-    Line *row = &lines[set * cfg.ways];
+    const std::uint64_t want = lineWord(pa);
+    std::uint64_t *row = &lines[set * cfg.ways];
     const unsigned ways = cfg.ways;
 
     // One scan finds both an already-present line and the first free
-    // way (the former used to be a separate full pass).
+    // way.
     unsigned freeWay = ways;
     for (unsigned w = 0; w < ways; ++w) {
-        Line &line = row[w];
-        if (!line.valid) {
-            if (freeWay == ways)
-                freeWay = w;
-            continue;
-        }
-        if (line.tag == tag) {
+        if (row[w] == want) {
             // Already present: refresh replacement state only.
-            policy->touch(set, w);
+            policy.touch(set, w);
             return std::nullopt;
         }
+        if (row[w] == 0 && freeWay == ways)
+            freeWay = w;
     }
 
     if (freeWay != ways) {
-        Line &line = row[freeWay];
-        line.valid = true;
-        line.tag = tag;
-        policy->insert(set, freeWay);
+        row[freeWay] = want;
+        policy.insert(set, freeWay);
         return std::nullopt;
     }
 
-    unsigned w = policy->victim(set);
-    Line &line = row[w];
-    PhysAddr evicted = line.tag << kLineShift;
-    line.tag = tag;
-    policy->insert(set, w);
+    unsigned w = policy.victim(set);
+    PhysAddr evicted = (row[w] & ~kValidBit) << kLineShift;
+    row[w] = want;
+    policy.insert(set, w);
     return evicted;
 }
 
 bool
 Cache::invalidate(PhysAddr pa)
 {
-    std::uint64_t set = globalSet(pa);
-    std::uint64_t tag = tagOf(pa);
+    std::uint64_t *row = &lines[globalSet(pa) * cfg.ways];
+    const std::uint64_t want = lineWord(pa);
     for (unsigned w = 0; w < cfg.ways; ++w) {
-        Line &line = lineAt(set, w);
-        if (line.valid && line.tag == tag) {
-            line.valid = false;
+        if (row[w] == want) {
+            row[w] = 0;
             return true;
         }
     }
@@ -169,8 +135,8 @@ std::uint64_t
 Cache::validLines() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : lines)
-        if (line.valid)
+    for (std::uint64_t line : lines)
+        if (line)
             ++count;
     return count;
 }
@@ -178,14 +144,7 @@ Cache::validLines() const
 void
 Cache::flushAll()
 {
-    for (Line &line : lines)
-        line.valid = false;
-}
-
-PhysAddr
-Cache::lineAddrOf(std::uint64_t, const Line &line) const
-{
-    return line.tag << kLineShift;
+    std::fill(lines.begin(), lines.end(), 0);
 }
 
 } // namespace pth

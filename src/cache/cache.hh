@@ -9,7 +9,6 @@
 #define PTH_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -87,22 +86,22 @@ class Cache
     void flushAll();
 
   private:
-    struct Line
+    /** Line word of pa: its line address (which doubles as the tag:
+     * inclusive back-invalidation needs exact evicted addresses) with
+     * the valid bit set. A stored word of 0 is an invalid line. */
+    static std::uint64_t
+    lineWord(PhysAddr pa)
     {
-        std::uint64_t tag = 0;
-        bool valid = false;
-    };
+        return (pa >> kLineShift) | kValidBit;
+    }
 
-    Line &lineAt(std::uint64_t set, unsigned way);
-    const Line &lineAt(std::uint64_t set, unsigned way) const;
-    std::uint64_t tagOf(PhysAddr pa) const;
-    PhysAddr lineAddrOf(std::uint64_t set, const Line &line) const;
+    static constexpr std::uint64_t kValidBit = 1ull << 63;
 
     CacheConfig cfg;
     std::string label;
     SliceHash hash;
-    std::vector<Line> lines;
-    std::unique_ptr<ReplacementPolicy> policy;
+    std::vector<std::uint64_t> lines;   //!< sets x ways line words
+    ReplacementPolicy policy;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
 };

@@ -1,7 +1,5 @@
 #include "cache/replacement_policy.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -30,114 +28,85 @@ std::unique_ptr<ReplacementPolicy>
 ReplacementPolicy::create(ReplacementKind kind, std::uint64_t sets,
                           unsigned ways, std::uint64_t seed)
 {
+    return std::make_unique<ReplacementPolicy>(kind, sets, ways, seed);
+}
+
+ReplacementPolicy::ReplacementPolicy(ReplacementKind kind_,
+                                     std::uint64_t sets, unsigned ways_,
+                                     std::uint64_t seed)
+    : kind(kind_), ways(ways_), rng(seed)
+{
+    pth_assert(ways >= 1, "replacement needs at least one way");
     switch (kind) {
       case ReplacementKind::Lru:
-        return std::make_unique<LruPolicy>(sets, ways);
+        words.assign(sets * ways, 0);
+        break;
       case ReplacementKind::TreePlru:
-        return std::make_unique<TreePlruPolicy>(sets, ways);
-      case ReplacementKind::Random:
-        return std::make_unique<RandomPolicy>(ways, seed);
+        while (treeWays < ways)
+            treeWays <<= 1;
+        levels = log2i(treeWays);
+        pth_assert(treeWays <= 64, "tree-PLRU supports at most 64 ways");
+        words.assign(sets, 0);
+        // Node n of the tree is bit n of the set's word; the children
+        // of node n are 2n + 1 (left) and 2n + 2 (right).
+        paths.resize(ways);
+        for (unsigned way = 0; way < ways; ++way) {
+            unsigned node = 0;
+            for (unsigned level = 0; level < levels; ++level) {
+                unsigned dir = (way >> (levels - 1 - level)) & 1;
+                paths[way].nodes |= 1ull << node;
+                if (!dir)
+                    paths[way].away |= 1ull << node;
+                node = 2 * node + 1 + dir;
+            }
+        }
+        break;
       case ReplacementKind::Nru:
-        return std::make_unique<NruPolicy>(sets, ways, seed);
       case ReplacementKind::Aging:
-        return std::make_unique<AgingPolicy>(sets, ways, seed);
+        bytes.assign(sets * ways, 0);
+        break;
+      case ReplacementKind::Random:
+        break;
+    }
+}
+
+unsigned
+ReplacementPolicy::victim(std::uint64_t set)
+{
+    switch (kind) {
+      case ReplacementKind::Lru: {
+        const std::uint64_t *stamps = &words[set * ways];
+        unsigned best = 0;
+        std::uint64_t bestStamp = ~0ull;
+        for (unsigned w = 0; w < ways; ++w) {
+            if (stamps[w] < bestStamp) {
+                bestStamp = stamps[w];
+                best = w;
+            }
+        }
+        return best;
+      }
+      case ReplacementKind::TreePlru:
+        return treePlruVictim(set);
+      case ReplacementKind::Nru:
+        return nruVictim(set);
+      case ReplacementKind::Aging:
+        return agingVictim(set);
+      case ReplacementKind::Random:
+        return static_cast<unsigned>(rng.below(ways));
     }
     panic("unknown replacement kind");
 }
 
-LruPolicy::LruPolicy(std::uint64_t sets, unsigned ways_)
-    : ways(ways_), stamps(sets * ways_, 0)
-{
-}
-
-void
-LruPolicy::touch(std::uint64_t set, unsigned way)
-{
-    stamps[set * ways + way] = ++tick;
-}
-
-void
-LruPolicy::insert(std::uint64_t set, unsigned way)
-{
-    touch(set, way);
-}
-
 unsigned
-LruPolicy::victim(std::uint64_t set)
+ReplacementPolicy::treePlruVictim(std::uint64_t set)
 {
-    unsigned best = 0;
-    std::uint64_t bestStamp = ~0ull;
-    for (unsigned w = 0; w < ways; ++w) {
-        std::uint64_t s = stamps[set * ways + w];
-        if (s < bestStamp) {
-            bestStamp = s;
-            best = w;
-        }
-    }
-    return best;
-}
-
-std::unique_ptr<ReplacementPolicy>
-LruPolicy::clone() const
-{
-    return std::make_unique<LruPolicy>(*this);
-}
-
-std::uint64_t
-LruPolicy::stateHash() const
-{
-    std::uint64_t h = hashCombine(0x12c0, ways, tick);
-    for (std::uint64_t stamp : stamps)
-        h = hashCombine(h, stamp);
-    return h;
-}
-
-TreePlruPolicy::TreePlruPolicy(std::uint64_t sets, unsigned ways_)
-    : ways(ways_)
-{
-    treeWays = 1;
-    while (treeWays < ways)
-        treeWays <<= 1;
-    levels = log2i(treeWays);
-    bits.assign(sets * (treeWays - 1), 0);
-}
-
-void
-TreePlruPolicy::updatePath(std::uint64_t set, unsigned way)
-{
-    // Walk from the root; at each node, point the bit *away* from the
-    // touched way.
-    std::uint8_t *tree = &bits[set * (treeWays - 1)];
-    unsigned node = 0;
-    for (unsigned level = 0; level < levels; ++level) {
-        unsigned shift = levels - 1 - level;
-        unsigned dir = (way >> shift) & 1;
-        tree[node] = static_cast<std::uint8_t>(dir ^ 1);
-        node = 2 * node + 1 + dir;
-    }
-}
-
-void
-TreePlruPolicy::touch(std::uint64_t set, unsigned way)
-{
-    updatePath(set, way);
-}
-
-void
-TreePlruPolicy::insert(std::uint64_t set, unsigned way)
-{
-    updatePath(set, way);
-}
-
-unsigned
-TreePlruPolicy::victim(std::uint64_t set)
-{
-    std::uint8_t *tree = &bits[set * (treeWays - 1)];
     for (unsigned attempt = 0; attempt < 2 * treeWays; ++attempt) {
+        const std::uint64_t tree = words[set];
         unsigned node = 0;
         unsigned way = 0;
         for (unsigned level = 0; level < levels; ++level) {
-            unsigned dir = tree[node];
+            unsigned dir = (tree >> node) & 1;
             way = (way << 1) | dir;
             node = 2 * node + 1 + dir;
         }
@@ -145,47 +114,15 @@ TreePlruPolicy::victim(std::uint64_t set)
             return way;
         // The tree pointed into the padded range (non-power-of-two
         // associativity); steer away and retry.
-        updatePath(set, way >= ways ? ways - 1 : way);
+        pointAwayFrom(set, ways - 1);
     }
     return ways - 1;
 }
 
-std::unique_ptr<ReplacementPolicy>
-TreePlruPolicy::clone() const
-{
-    return std::make_unique<TreePlruPolicy>(*this);
-}
-
-std::uint64_t
-TreePlruPolicy::stateHash() const
-{
-    std::uint64_t h = hashCombine(0x92e9, ways, treeWays);
-    for (std::uint8_t bit : bits)
-        h = hashCombine(h, bit);
-    return h;
-}
-
-NruPolicy::NruPolicy(std::uint64_t sets, unsigned ways_, std::uint64_t seed)
-    : ways(ways_), refBits(sets * ways_, 0), rng(seed)
-{
-}
-
-void
-NruPolicy::touch(std::uint64_t set, unsigned way)
-{
-    refBits[set * ways + way] = 1;
-}
-
-void
-NruPolicy::insert(std::uint64_t set, unsigned way)
-{
-    refBits[set * ways + way] = 1;
-}
-
 unsigned
-NruPolicy::victim(std::uint64_t set)
+ReplacementPolicy::nruVictim(std::uint64_t set)
 {
-    std::uint8_t *refs = &refBits[set * ways];
+    std::uint8_t *refs = &bytes[set * ways];
     unsigned clearCount = 0;
     for (unsigned w = 0; w < ways; ++w)
         if (!refs[w])
@@ -207,130 +144,77 @@ NruPolicy::victim(std::uint64_t set)
     return ways - 1;
 }
 
-std::unique_ptr<ReplacementPolicy>
-NruPolicy::clone() const
-{
-    return std::make_unique<NruPolicy>(*this);
-}
-
-std::uint64_t
-NruPolicy::stateHash() const
-{
-    std::uint64_t h = hashCombine(0x9eb, ways, rng.stateHash());
-    for (std::uint8_t bit : refBits)
-        h = hashCombine(h, bit);
-    return h;
-}
-
-AgingPolicy::AgingPolicy(std::uint64_t sets, unsigned ways_,
-                         std::uint64_t seed)
-    : ways(ways_), ages(sets * ways_, 0), rng(seed)
-{
-}
-
-void
-AgingPolicy::touch(std::uint64_t set, unsigned way)
-{
-    ages[set * ways + way] = touchAge;
-}
-
-void
-AgingPolicy::insert(std::uint64_t set, unsigned way)
-{
-    ages[set * ways + way] = insertAge;
-}
-
 unsigned
-AgingPolicy::victim(std::uint64_t set)
+ReplacementPolicy::agingVictim(std::uint64_t set)
 {
-    std::uint8_t *age = &ages[set * ways];
-    auto pickAmong = [&](std::uint8_t wanted) -> int {
-        unsigned count = 0;
-        for (unsigned w = 0; w < ways; ++w)
-            if (age[w] == wanted)
-                ++count;
-        if (!count)
-            return -1;
-        unsigned pick = static_cast<unsigned>(rng.below(count));
-        for (unsigned w = 0; w < ways; ++w) {
-            if (age[w] == wanted) {
-                if (pick == 0)
-                    return static_cast<int>(w);
-                --pick;
-            }
+    // The policy is defined as up to maxRounds rounds: pick among the
+    // ways at age 0 if any; else, with skipAgeProbability, pick among
+    // the youngest ways; else age every way by one. Ageing a set with
+    // no way at 0 lowers every age by one, so the youngest ways stay
+    // the youngest and only the number of ageing rounds is unknown. It
+    // is found by the same chance() draws the rounds would make.
+    constexpr unsigned maxRounds = 2u * touchAge + 2;
+    std::uint8_t *age = &bytes[set * ways];
+    std::uint8_t minAge = 255;
+    unsigned count = 0;
+    for (unsigned w = 0; w < ways; ++w) {
+        if (age[w] < minAge) {
+            minAge = age[w];
+            count = 1;
+        } else if (age[w] == minAge) {
+            ++count;
         }
-        return -1;
-    };
-
-    for (unsigned round = 0; round < 2u * touchAge + 2; ++round) {
-        int zero = pickAmong(0);
-        if (zero >= 0)
-            return static_cast<unsigned>(zero);
-        // No way is stale. Sometimes the hardware heuristic punts and
-        // replaces a young fill instead of ageing the whole set; this
-        // keeps referenced entries alive past exact multiples of the
-        // associativity.
-        if (rng.chance(skipAgeProbability)) {
-            std::uint8_t minAge = 255;
-            for (unsigned w = 0; w < ways; ++w)
-                minAge = std::min(minAge, age[w]);
-            int young = pickAmong(minAge);
-            if (young >= 0)
-                return static_cast<unsigned>(young);
-        }
-        for (unsigned w = 0; w < ways; ++w)
-            if (age[w] > 0)
-                --age[w];
     }
-    return static_cast<unsigned>(rng.below(ways));
-}
 
-std::unique_ptr<ReplacementPolicy>
-AgingPolicy::clone() const
-{
-    return std::make_unique<AgingPolicy>(*this);
+    unsigned aged = 0;
+    while (aged < maxRounds && aged < minAge &&
+           !rng.chance(skipAgeProbability))
+        ++aged;
+    for (unsigned w = 0; w < ways; ++w)
+        age[w] = static_cast<std::uint8_t>(age[w] - aged);
+    if (aged == maxRounds)
+        return static_cast<unsigned>(rng.below(ways));
+
+    const std::uint8_t youngest = static_cast<std::uint8_t>(minAge - aged);
+    unsigned pick = static_cast<unsigned>(rng.below(count));
+    for (unsigned w = 0; w < ways; ++w) {
+        if (age[w] == youngest) {
+            if (pick == 0)
+                return w;
+            --pick;
+        }
+    }
+    return ways - 1;
 }
 
 std::uint64_t
-AgingPolicy::stateHash() const
+ReplacementPolicy::stateHash() const
 {
-    std::uint64_t h = hashCombine(0xa917, ways, rng.stateHash());
-    for (std::uint8_t age : ages)
-        h = hashCombine(h, age);
+    std::uint64_t h = 0;
+    switch (kind) {
+      case ReplacementKind::Lru:
+        h = hashCombine(0x12c0, ways, tick);
+        for (std::uint64_t stamp : words)
+            h = hashCombine(h, stamp);
+        return h;
+      case ReplacementKind::TreePlru:
+        h = hashCombine(0x92e9, ways, treeWays);
+        for (std::uint64_t tree : words)
+            for (unsigned node = 0; node + 1 < treeWays; ++node)
+                h = hashCombine(h, (tree >> node) & 1);
+        return h;
+      case ReplacementKind::Nru:
+        h = hashCombine(0x9eb, ways, rng.stateHash());
+        break;
+      case ReplacementKind::Aging:
+        h = hashCombine(0xa917, ways, rng.stateHash());
+        break;
+      case ReplacementKind::Random:
+        return hashCombine(0x9a2d, ways, rng.stateHash());
+    }
+    for (std::uint8_t b : bytes)
+        h = hashCombine(h, b);
     return h;
-}
-
-RandomPolicy::RandomPolicy(unsigned ways_, std::uint64_t seed)
-    : ways(ways_), rng(seed)
-{
-}
-
-void
-RandomPolicy::touch(std::uint64_t, unsigned)
-{
-}
-
-void
-RandomPolicy::insert(std::uint64_t, unsigned)
-{
-}
-
-unsigned
-RandomPolicy::victim(std::uint64_t)
-{
-    return static_cast<unsigned>(rng.below(ways));
-}
-
-std::unique_ptr<ReplacementPolicy>
-RandomPolicy::clone() const
-{
-    return std::make_unique<RandomPolicy>(*this);
-}
-
-std::uint64_t
-RandomPolicy::stateHash() const
-{
-    return hashCombine(0x9a2d, ways, rng.stateHash());
 }
 
 } // namespace pth

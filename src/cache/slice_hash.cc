@@ -1,6 +1,5 @@
 #include "cache/slice_hash.hh"
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace pth
@@ -22,21 +21,9 @@ SliceHash::SliceHash(unsigned slices) : nSlices(slices)
 {
     pth_assert(isPow2(slices) && slices <= 8,
                "slice count must be 1, 2, 4 or 8");
-    if (slices >= 2)
-        bitMasks.push_back(kMaskO0);
-    if (slices >= 4)
-        bitMasks.push_back(kMaskO1);
-    if (slices >= 8)
-        bitMasks.push_back(kMaskO2);
-}
-
-unsigned
-SliceHash::slice(PhysAddr pa) const
-{
-    unsigned s = 0;
-    for (std::size_t b = 0; b < bitMasks.size(); ++b)
-        s |= maskedParity(pa, bitMasks[b]) << b;
-    return s;
+    const std::uint64_t published[] = {kMaskO0, kMaskO1, kMaskO2};
+    for (unsigned b = 0; b < log2i(slices); ++b)
+        bitMasks[b] = published[b];
 }
 
 } // namespace pth

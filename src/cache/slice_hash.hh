@@ -13,9 +13,10 @@
 #ifndef PTH_CACHE_SLICE_HASH_HH
 #define PTH_CACHE_SLICE_HASH_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
+#include "common/bitops.hh"
 #include "common/types.hh"
 
 namespace pth
@@ -25,24 +26,26 @@ namespace pth
 class SliceHash
 {
   public:
-    /**
-     * @param slices Number of LLC slices (1, 2, 4 or 8).
-     * @param seed Unused for the published masks; reserved.
-     */
+    /** @param slices Number of LLC slices (1, 2, 4 or 8). */
     explicit SliceHash(unsigned slices);
 
     /** Slice index of a physical address. */
-    unsigned slice(PhysAddr pa) const;
+    unsigned
+    slice(PhysAddr pa) const
+    {
+        // Unused slice bits have an all-zero mask, whose parity is 0.
+        return maskedParity(pa, bitMasks[0]) |
+               maskedParity(pa, bitMasks[1]) << 1 |
+               maskedParity(pa, bitMasks[2]) << 2;
+    }
 
     /** Number of slices. */
     unsigned slices() const { return nSlices; }
 
-    /** Parity masks in use (one per slice-index bit). */
-    const std::vector<std::uint64_t> &masks() const { return bitMasks; }
-
   private:
     unsigned nSlices;
-    std::vector<std::uint64_t> bitMasks;
+    /** Parity mask of each slice-index bit; zero past log2(slices). */
+    std::array<std::uint64_t, 3> bitMasks{};
 };
 
 } // namespace pth

@@ -25,8 +25,8 @@ TlbConfig
 paperTlb(std::uint64_t seed)
 {
     TlbConfig t;
-    // NRU replacement: the paper observes the TLB is "not true LRU",
-    // which is what pushes the minimal eviction set past the
+    // Aging replacement: the paper observes the TLB is "not true
+    // LRU", which is what pushes the minimal eviction set past the
     // associativity (Figure 3).
     t.l1d = {16, 4, ReplacementKind::Aging, mix64(seed ^ 0x11d)};
     t.l2s = {128, 4, ReplacementKind::Aging, mix64(seed ^ 0x125)};

@@ -49,15 +49,56 @@ parseFlipModelKind(const char *text, FlipModelKind &out)
 FlipModel::FlipModel(const DisturbanceConfig &config,
                      const DramGeometry &geometry)
     : vuln(config, geometry.rowBytes), rows(geometry.rows()),
-      bankActs(geometry.banks)
+      bankRows(geometry.banks)
 {
+}
+
+std::size_t
+FlipModel::probe(const std::vector<RowState> &slots, std::uint64_t row)
+{
+    // Fibonacci hashing; linear probing in a power-of-two table.
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = (row * 0x9e3779b97f4a7c15ull >> 32) & mask;
+    while (slots[i].acts && slots[i].row != row)
+        i = (i + 1) & mask;
+    return i;
+}
+
+const FlipModel::RowState *
+FlipModel::findRow(unsigned bank, std::uint64_t row) const
+{
+    const std::vector<RowState> &slots = bankRows[bank].slots;
+    if (slots.empty())
+        return nullptr;
+    const RowState &rs = slots[probe(slots, row)];
+    return rs.acts ? &rs : nullptr;
+}
+
+FlipModel::RowState &
+FlipModel::claimRow(unsigned bank, std::uint64_t row)
+{
+    RowTable &table = bankRows[bank];
+    if (2 * (table.used + 1) > table.slots.size()) {
+        std::vector<RowState> old(
+            std::max<std::size_t>(16, 2 * table.slots.size()));
+        old.swap(table.slots);
+        for (const RowState &rs : old)
+            if (rs.acts)
+                table.slots[probe(table.slots, rs.row)] = rs;
+    }
+    RowState &rs = table.slots[probe(table.slots, row)];
+    if (!rs.acts) {
+        rs.row = row;
+        ++table.used;
+    }
+    return rs;
 }
 
 void
 FlipModel::recordActivation(unsigned bank, std::uint64_t row,
                             std::uint64_t epoch)
 {
-    RowState &rs = bankActs[bank][row];
+    RowState &rs = claimRow(bank, row);
     if (rs.epoch != epoch) {
         // Lazy refresh: the window rolled over, so the charge leaked
         // into the neighbours has been restored.
@@ -73,11 +114,10 @@ FlipModel::actsInWindow(unsigned bank, std::uint64_t row,
 {
     if (row >= rows)
         return 0;
-    const auto &acts = bankActs[bank];
-    auto it = acts.find(row);
-    if (it == acts.end() || it->second.epoch != epoch)
+    const RowState *rs = findRow(bank, row);
+    if (!rs || rs->epoch != epoch)
         return 0;
-    return it->second.acts;
+    return rs->acts;
 }
 
 std::uint64_t
@@ -150,20 +190,23 @@ FlipModel::onCellTripped(unsigned, std::uint64_t, const WeakCell &cell,
 void
 FlipModel::reset()
 {
-    for (auto &acts : bankActs)
-        acts.clear();
+    for (RowTable &table : bankRows) {
+        table.slots.clear();
+        table.used = 0;
+    }
 }
 
 std::uint64_t
 FlipModel::stateHash() const
 {
     std::uint64_t h = hashCombine(0xf11b, rows);
-    for (std::size_t bank = 0; bank < bankActs.size(); ++bank) {
-        // determinism: commutative fold — iteration order of the
-        // unordered map cannot affect the sum.
+    for (std::size_t bank = 0; bank < bankRows.size(); ++bank) {
+        // Commutative fold: the slot order depends on the table's
+        // growth history, which must not affect the digest.
         std::uint64_t fold = 0;
-        for (const auto &[row, rs] : bankActs[bank])
-            fold += mix64(hashCombine(row, rs.epoch, rs.acts));
+        for (const RowState &rs : bankRows[bank].slots)
+            if (rs.acts)
+                fold += mix64(hashCombine(rs.row, rs.epoch, rs.acts));
         h = hashCombine(h, bank, fold);
     }
     return h;

@@ -163,14 +163,35 @@ class FlipModel
     VulnerabilityModel vuln;
 
   private:
+    /** One row's activation counter for its latest window. */
     struct RowState
     {
+        std::uint64_t row = 0;
         std::uint64_t epoch = 0;
-        std::uint64_t acts = 0;
+        std::uint64_t acts = 0;   //!< 0 marks an empty slot
     };
 
+    /** A bank's activated rows: open addressing with linear probing
+     * over a power-of-two slot array, kept at most half full. */
+    struct RowTable
+    {
+        std::vector<RowState> slots;
+        std::uint64_t used = 0;
+    };
+
+    /** Index of row's slot in a non-empty table: the slot holding it,
+     * or the empty slot where it belongs. */
+    static std::size_t probe(const std::vector<RowState> &slots,
+                             std::uint64_t row);
+
+    /** The row's slot, or null when the row was never activated. */
+    const RowState *findRow(unsigned bank, std::uint64_t row) const;
+
+    /** The row's slot, claimed (acts == 0) when the row is new. */
+    RowState &claimRow(unsigned bank, std::uint64_t row);
+
     std::uint64_t rows;
-    std::vector<std::unordered_map<std::uint64_t, RowState>> bankActs;
+    std::vector<RowTable> bankRows;
 };
 
 /** The seeded DDR3 model of the paper's machines (the default). */

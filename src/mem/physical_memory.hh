@@ -5,13 +5,20 @@
  * Pages are materialized on first write (or flip); unmaterialized pages
  * read as zero. This lets experiments run at the paper's full 8 GiB
  * scale while host memory stays proportional to the touched footprint.
+ *
+ * The frame table is a directory of 512-frame chunks, each allocated
+ * on first touch: one allocation covers 2 MiB of simulated memory, so
+ * the attack's gigabyte-scale page-table spray costs a few bytes of
+ * bookkeeping per page rather than a hash-map node each.
  */
 
 #ifndef PTH_MEM_PHYSICAL_MEMORY_HH
 #define PTH_MEM_PHYSICAL_MEMORY_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/phys_page.hh"
@@ -26,13 +33,17 @@ class PhysicalMemory
     /** @param sizeBytes Total simulated physical memory size. */
     explicit PhysicalMemory(std::uint64_t sizeBytes);
 
+    /** Deep copy of every materialized page (Machine snapshot/fork). */
+    PhysicalMemory(const PhysicalMemory &other);
+
     /** Total size in bytes. */
     std::uint64_t size() const { return bytes; }
 
     /** Total size in 4 KiB frames. */
     std::uint64_t frames() const { return bytes >> kPageShift; }
 
-    /** Read the aligned 64-bit word at a physical address. */
+    /** Read the aligned 64-bit word at a physical address (panics on
+     * an unaligned address, whether or not the page exists). */
     std::uint64_t read64(PhysAddr pa) const;
 
     /** Write the aligned 64-bit word at a physical address. */
@@ -57,7 +68,7 @@ class PhysicalMemory
     void flipBit(PhysAddr pa, unsigned bitPos);
 
     /** Number of host-materialized pages (memory-audit hook). */
-    std::uint64_t materializedPages() const { return pages.size(); }
+    std::uint64_t materializedPages() const;
 
     /** True when the frame has been materialized. */
     bool isMaterialized(PhysFrame frame) const;
@@ -66,17 +77,29 @@ class PhysicalMemory
      * Order-independent hash over every materialized page's content
      * (snapshot audits; see Machine::stateFingerprint). Two memories
      * whose reads can never differ hash equally, regardless of page
-     * representation or map iteration order.
+     * representation.
      */
     std::uint64_t contentHash() const;
 
   private:
+    static constexpr unsigned kChunkShift = 9;
+    static constexpr std::uint64_t kChunkFrames = 1ull << kChunkShift;
+
+    /** kChunkFrames consecutive frames: their pages and a presence
+     * bitset saying which of them are materialized. */
+    struct Chunk
+    {
+        std::array<PhysPage, kChunkFrames> pages;
+        std::array<std::uint64_t, kChunkFrames / 64> present{};
+    };
+
     PhysPage &pageFor(PhysFrame frame);
     const PhysPage *pageIfPresent(PhysFrame frame) const;
     void checkRange(PhysAddr pa) const;
 
     std::uint64_t bytes;
-    std::unordered_map<PhysFrame, PhysPage> pages;
+    /** One entry per chunk of frames; null until a frame is touched. */
+    std::vector<std::unique_ptr<Chunk>> chunks;
 };
 
 } // namespace pth

@@ -8,26 +8,27 @@ namespace pth
 {
 
 Tlb::Tlb(const TlbLevelConfig &config)
-    : cfg(config), slots(config.sets * config.ways),
-      policy(ReplacementPolicy::create(config.replacement, config.sets,
-                                       config.ways,
-                                       mix64(config.seed ^ (config.sets * 7 + config.ways))))
+    : cfg(config), keys(config.sets * config.ways, 0),
+      pfns(config.sets * config.ways, 0),
+      policy(config.replacement, config.sets, config.ways,
+             mix64(config.seed ^ (config.sets * 7 + config.ways)))
 {
     pth_assert(isPow2(cfg.sets), "TLB sets must be a power of two");
 }
 
 Tlb::Tlb(const Tlb &other)
-    : cfg(other.cfg), slots(other.slots), policy(other.policy->clone())
+    : cfg(other.cfg), keys(other.keys), pfns(other.pfns),
+      policy(other.policy)
 {
 }
 
 std::uint64_t
 Tlb::stateHash() const
 {
-    std::uint64_t h = hashCombine(0x71b, policy->stateHash());
-    for (const Slot &slot : slots) {
-        h = hashCombine(h, slot.valid, slot.entry.vpn);
-        h = hashCombine(h, slot.entry.pfn, slot.entry.huge);
+    std::uint64_t h = hashCombine(0x71b, policy.stateHash());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        h = hashCombine(h, keys[i] & 1, keys[i] >> 2);
+        h = hashCombine(h, pfns[i], (keys[i] >> 1) & 1);
     }
     return h;
 }
@@ -39,32 +40,17 @@ Tlb::setOf(VirtPage vpn) const
     return vpn & (cfg.sets - 1);
 }
 
-Tlb::Slot &
-Tlb::slotAt(std::uint64_t set, unsigned way)
-{
-    return slots[set * cfg.ways + way];
-}
-
-const Tlb::Slot &
-Tlb::slotAt(std::uint64_t set, unsigned way) const
-{
-    return slots[set * cfg.ways + way];
-}
-
 std::optional<TlbEntry>
 Tlb::lookup(VirtPage vpn, bool huge)
 {
-    // Slot base hoisted out of the way scan (see Cache::access) —
-    // every translate() probes both TLB levels through here.
     const std::uint64_t set = setOf(vpn);
-    Slot *row = &slots[set * cfg.ways];
+    const std::uint64_t base = set * cfg.ways;
+    const std::uint64_t want = keyOf(vpn, huge);
     const unsigned ways = cfg.ways;
     for (unsigned w = 0; w < ways; ++w) {
-        Slot &slot = row[w];
-        if (slot.valid && slot.entry.vpn == vpn &&
-            slot.entry.huge == huge) {
-            policy->touch(set, w);
-            return slot.entry;
+        if (keys[base + w] == want) {
+            policy.touch(set, w);
+            return TlbEntry{vpn, pfns[base + w], huge};
         }
     }
     return std::nullopt;
@@ -73,12 +59,11 @@ Tlb::lookup(VirtPage vpn, bool huge)
 bool
 Tlb::contains(VirtPage vpn, bool huge) const
 {
-    std::uint64_t set = setOf(vpn);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        const Slot &slot = slotAt(set, w);
-        if (slot.valid && slot.entry.vpn == vpn && slot.entry.huge == huge)
+    const std::uint64_t base = setOf(vpn) * cfg.ways;
+    const std::uint64_t want = keyOf(vpn, huge);
+    for (unsigned w = 0; w < cfg.ways; ++w)
+        if (keys[base + w] == want)
             return true;
-    }
     return false;
 }
 
@@ -86,66 +71,60 @@ void
 Tlb::insert(const TlbEntry &entry)
 {
     const std::uint64_t set = setOf(entry.vpn);
-    Slot *row = &slots[set * cfg.ways];
+    const std::uint64_t base = set * cfg.ways;
+    const std::uint64_t want = keyOf(entry.vpn, entry.huge);
     const unsigned ways = cfg.ways;
 
     // One scan finds both an already-cached entry (refresh in place)
     // and the first free way.
     unsigned freeWay = ways;
     for (unsigned w = 0; w < ways; ++w) {
-        Slot &slot = row[w];
-        if (!slot.valid) {
-            if (freeWay == ways)
-                freeWay = w;
-            continue;
-        }
-        if (slot.entry.vpn == entry.vpn &&
-            slot.entry.huge == entry.huge) {
-            slot.entry = entry;
-            policy->touch(set, w);
+        const std::uint64_t key = keys[base + w];
+        if (key == want) {
+            pfns[base + w] = entry.pfn;
+            policy.touch(set, w);
             return;
         }
+        if (!(key & 1) && freeWay == ways)
+            freeWay = w;
     }
 
     if (freeWay != ways) {
-        Slot &slot = row[freeWay];
-        slot.valid = true;
-        slot.entry = entry;
-        policy->insert(set, freeWay);
+        keys[base + freeWay] = want;
+        pfns[base + freeWay] = entry.pfn;
+        policy.insert(set, freeWay);
         return;
     }
 
-    unsigned w = policy->victim(set);
-    Slot &slot = row[w];
-    slot.entry = entry;
-    policy->insert(set, w);
+    unsigned w = policy.victim(set);
+    keys[base + w] = want;
+    pfns[base + w] = entry.pfn;
+    policy.insert(set, w);
 }
 
 void
 Tlb::invalidate(VirtPage vpn, bool huge)
 {
-    std::uint64_t set = setOf(vpn);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Slot &slot = slotAt(set, w);
-        if (slot.valid && slot.entry.vpn == vpn && slot.entry.huge == huge)
-            slot.valid = false;
-    }
+    const std::uint64_t base = setOf(vpn) * cfg.ways;
+    const std::uint64_t want = keyOf(vpn, huge);
+    for (unsigned w = 0; w < cfg.ways; ++w)
+        if (keys[base + w] == want)
+            keys[base + w] &= ~1ull;
 }
 
 void
 Tlb::flushAll()
 {
-    for (Slot &slot : slots)
-        slot.valid = false;
+    for (std::uint64_t &key : keys)
+        key &= ~1ull;
 }
 
 std::uint64_t
 Tlb::validEntries() const
 {
     std::uint64_t count = 0;
-    for (const Slot &slot : slots)
-        if (slot.valid)
-            ++count;
+    for (std::uint64_t key : keys)
+        count += key & 1;
     return count;
 }
 

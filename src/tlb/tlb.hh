@@ -4,15 +4,15 @@
  *
  * Indexed linearly by virtual page number (the mapping Gras et al.
  * reverse-engineered for the paper's SandyBridge/IvyBridge parts).
- * Replacement defaults to tree-PLRU — deliberately not true LRU, which
- * is why minimal eviction sets exceed the associativity (Figure 3).
+ * The paper's machines use Aging replacement — deliberately not true
+ * LRU, which is why minimal eviction sets exceed the associativity
+ * (Figure 3).
  */
 
 #ifndef PTH_TLB_TLB_HH
 #define PTH_TLB_TLB_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -73,18 +73,18 @@ class Tlb
     std::uint64_t validEntries() const;
 
   private:
-    struct Slot
+    /** Slot key of a translation: vpn << 2 | huge << 1 | valid. An
+     * invalidated slot keeps its vpn and huge bits (they are hashed). */
+    static std::uint64_t
+    keyOf(VirtPage vpn, bool huge)
     {
-        TlbEntry entry;
-        bool valid = false;
-    };
-
-    Slot &slotAt(std::uint64_t set, unsigned way);
-    const Slot &slotAt(std::uint64_t set, unsigned way) const;
+        return vpn << 2 | static_cast<std::uint64_t>(huge) << 1 | 1;
+    }
 
     TlbLevelConfig cfg;
-    std::vector<Slot> slots;
-    std::unique_ptr<ReplacementPolicy> policy;
+    std::vector<std::uint64_t> keys;   //!< sets x ways slot keys
+    std::vector<PhysFrame> pfns;       //!< sets x ways frame numbers
+    ReplacementPolicy policy;
 };
 
 } // namespace pth

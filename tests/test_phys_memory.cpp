@@ -136,5 +136,40 @@ TEST(PhysicalMemoryDeath, OutOfRangeAccessPanics)
     EXPECT_DEATH(mem.read64(1 << 20), "beyond memory end");
 }
 
+TEST(PhysicalMemoryDeath, UnalignedReadPanicsWhetherOrNotPresent)
+{
+    // Frame 1 is absent and frame 2 present: an unaligned word read
+    // is a caller bug in both cases, not a zero read in the first.
+    PhysicalMemory mem(1 << 20);
+    mem.write64(0x2000, 1);
+    EXPECT_DEATH(mem.read64(0x1003), "unaligned");
+    EXPECT_DEATH(mem.read64(0x2003), "unaligned");
+}
+
+TEST(PhysicalMemory, CopyIsDeepAcrossFrameChunks)
+{
+    // Frames far apart land in different chunks of the frame table;
+    // a copy must hold the same pages, hash the same, and stay
+    // independent of its original.
+    PhysicalMemory mem(64ull << 20);
+    const PhysFrame frames[] = {0, 511, 512, 4000, mem.frames() - 1};
+    for (PhysFrame frame : frames)
+        mem.write64(frame * kPageBytes + 8, frame + 1);
+    mem.fillFramePattern(700, 0);  // materialized, but all zero
+    EXPECT_EQ(mem.materializedPages(), 6u);
+    EXPECT_FALSE(mem.isMaterialized(701));
+    EXPECT_FALSE(mem.isMaterialized(mem.frames()));
+
+    PhysicalMemory copy(mem);
+    EXPECT_EQ(copy.materializedPages(), 6u);
+    EXPECT_EQ(copy.contentHash(), mem.contentHash());
+    for (PhysFrame frame : frames)
+        EXPECT_EQ(copy.read64(frame * kPageBytes + 8), frame + 1);
+
+    copy.write64(4000 * kPageBytes + 8, 0);
+    EXPECT_NE(copy.contentHash(), mem.contentHash());
+    EXPECT_EQ(mem.read64(4000 * kPageBytes + 8), 4001u);
+}
+
 } // namespace
 } // namespace pth

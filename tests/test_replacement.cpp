@@ -36,7 +36,7 @@ TEST_P(ReplacementParam, StateHashSeesMetadataAndRngPosition)
     // move the digest for every kind (age stamps, tree bits, reference
     // bits, or just the RNG position for random replacement).
     auto policy = ReplacementPolicy::create(kind(), 4, ways(), 1);
-    auto copy = policy->clone();
+    auto copy = std::make_unique<ReplacementPolicy>(*policy);
     ASSERT_EQ(policy->stateHash(), copy->stateHash());
     unsigned v = policy->victim(0);
     policy->insert(0, v);
@@ -50,14 +50,14 @@ TEST(ReplacementStateHash, LruTouchOrderChangesDigest)
     // expose that. Pins the snapshot-audit gap where replacement
     // metadata was invisible to Cache/Tlb stateHash, so equal
     // fingerprints could still replay differently.
-    LruPolicy a(1, 2);
-    LruPolicy b(1, 2);
-    a.touch(0, 0);
-    a.touch(0, 1);
-    b.touch(0, 1);
-    b.touch(0, 0);
-    EXPECT_NE(a.stateHash(), b.stateHash());
-    EXPECT_NE(a.victim(0), b.victim(0));
+    auto a = ReplacementPolicy::create(ReplacementKind::Lru, 1, 2);
+    auto b = ReplacementPolicy::create(ReplacementKind::Lru, 1, 2);
+    a->touch(0, 0);
+    a->touch(0, 1);
+    b->touch(0, 1);
+    b->touch(0, 0);
+    EXPECT_NE(a->stateHash(), b->stateHash());
+    EXPECT_NE(a->victim(0), b->victim(0));
 }
 
 TEST_P(ReplacementParam, SetsAreIndependent)
@@ -100,47 +100,47 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LruPolicy, EvictsLeastRecentlyUsed)
 {
-    LruPolicy lru(1, 4);
+    auto lru = ReplacementPolicy::create(ReplacementKind::Lru, 1, 4);
     for (unsigned w = 0; w < 4; ++w)
-        lru.insert(0, w);
-    lru.touch(0, 0);  // way 1 is now LRU
-    EXPECT_EQ(lru.victim(0), 1u);
-    lru.touch(0, 1);
-    EXPECT_EQ(lru.victim(0), 2u);
+        lru->insert(0, w);
+    lru->touch(0, 0);  // way 1 is now LRU
+    EXPECT_EQ(lru->victim(0), 1u);
+    lru->touch(0, 1);
+    EXPECT_EQ(lru->victim(0), 2u);
 }
 
 TEST(LruPolicy, RetainsMostRecentNLines)
 {
     // Property: after touching ways in a known order, the victim
     // sequence is the reverse order.
-    LruPolicy lru(1, 8);
+    auto lru = ReplacementPolicy::create(ReplacementKind::Lru, 1, 8);
     for (unsigned w = 0; w < 8; ++w)
-        lru.insert(0, w);
+        lru->insert(0, w);
     std::vector<unsigned> touchOrder = {3, 1, 4, 0, 5, 2, 7, 6};
     for (unsigned w : touchOrder)
-        lru.touch(0, w);
-    EXPECT_EQ(lru.victim(0), 3u);
+        lru->touch(0, w);
+    EXPECT_EQ(lru->victim(0), 3u);
 }
 
 TEST(TreePlru, NeverEvictsJustTouchedWay)
 {
-    TreePlruPolicy plru(1, 8);
+    auto plru = ReplacementPolicy::create(ReplacementKind::TreePlru, 1, 8);
     for (unsigned w = 0; w < 8; ++w)
-        plru.insert(0, w);
+        plru->insert(0, w);
     for (int i = 0; i < 100; ++i) {
         unsigned touched = static_cast<unsigned>(i * 5 % 8);
-        plru.touch(0, touched);
-        EXPECT_NE(plru.victim(0), touched);
+        plru->touch(0, touched);
+        EXPECT_NE(plru->victim(0), touched);
     }
 }
 
 TEST(TreePlru, NonPowerOfTwoWaysStayInRange)
 {
-    TreePlruPolicy plru(1, 12);
+    auto plru = ReplacementPolicy::create(ReplacementKind::TreePlru, 1, 12);
     for (int i = 0; i < 1000; ++i) {
-        unsigned v = plru.victim(0);
+        unsigned v = plru->victim(0);
         EXPECT_LT(v, 12u);
-        plru.insert(0, v);
+        plru->insert(0, v);
     }
 }
 
@@ -149,17 +149,17 @@ TEST(Nru, TouchedEntrySurvivesSomeFills)
     // Statistical property: an entry touched before every fill burst
     // survives a burst of `ways` fills some of the time (NRU is not
     // true LRU).
-    NruPolicy nru(1, 4, 77);
+    auto nru = ReplacementPolicy::create(ReplacementKind::Nru, 1, 4, 77);
     unsigned survived = 0;
     const int trials = 400;
     for (int t = 0; t < trials; ++t) {
-        nru.touch(0, 0);
+        nru->touch(0, 0);
         bool evicted = false;
         for (int f = 0; f < 4; ++f) {
-            unsigned v = nru.victim(0);
+            unsigned v = nru->victim(0);
             if (v == 0)
                 evicted = true;
-            nru.insert(0, v);
+            nru->insert(0, v);
         }
         if (!evicted)
             ++survived;
@@ -173,18 +173,19 @@ TEST(Aging, FreshlyTouchedWaySurvivesAssociativityFills)
 {
     // The Figure-3 mechanism: evicting a just-touched entry takes
     // noticeably more fills than the associativity.
-    AgingPolicy aging(1, 4, 99);
+    auto aging =
+        ReplacementPolicy::create(ReplacementKind::Aging, 1, 4, 99);
     unsigned evictedWithinWays = 0;
     const int trials = 300;
     for (int t = 0; t < trials; ++t) {
-        aging.touch(0, 0);
+        aging->touch(0, 0);
         for (int f = 0; f < 4; ++f) {
-            unsigned v = aging.victim(0);
+            unsigned v = aging->victim(0);
             if (v == 0) {
                 ++evictedWithinWays;
                 break;
             }
-            aging.insert(0, v);
+            aging->insert(0, v);
         }
     }
     // Eviction within `ways` fills should be rare.
@@ -193,23 +194,25 @@ TEST(Aging, FreshlyTouchedWaySurvivesAssociativityFills)
 
 TEST(Aging, EventuallyEvictsEverything)
 {
-    AgingPolicy aging(1, 4, 100);
-    aging.touch(0, 2);
+    auto aging =
+        ReplacementPolicy::create(ReplacementKind::Aging, 1, 4, 100);
+    aging->touch(0, 2);
     bool evicted = false;
     for (int f = 0; f < 64 && !evicted; ++f) {
-        unsigned v = aging.victim(0);
+        unsigned v = aging->victim(0);
         evicted = (v == 2);
-        aging.insert(0, v);
+        aging->insert(0, v);
     }
     EXPECT_TRUE(evicted);
 }
 
 TEST(RandomPolicy, CoversAllWays)
 {
-    RandomPolicy random(8, 5);
+    auto random =
+        ReplacementPolicy::create(ReplacementKind::Random, 1, 8, 5);
     std::vector<bool> seen(8, false);
     for (int i = 0; i < 500; ++i)
-        seen[random.victim(0)] = true;
+        seen[random->victim(0)] = true;
     for (bool s : seen)
         EXPECT_TRUE(s);
 }

@@ -71,7 +71,7 @@ SUFFIXES = {".cc", ".cpp", ".hh", ".hpp"}
 
 
 def last_component(expr: str) -> str:
-    """`other.processes` -> processes; `bankActs[bank]` -> bankActs."""
+    """`other.processes` -> processes; `words[bank]` -> words."""
     expr = re.sub(r"\[[^\]]*\]", "", expr)
     for sep in (".", "->"):
         if sep in expr:
