@@ -38,16 +38,6 @@ warn(const char *fmt, ...)
 }
 
 void
-fatal(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("fatal: ", fmt, ap);
-    va_end(ap);
-    std::exit(1);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;

@@ -2,9 +2,10 @@
  * @file
  * gem5-style status and error reporting.
  *
- * fatal() terminates on user error (bad configuration); panic()
- * terminates on internal simulator bugs; inform()/warn() report status
- * without stopping the simulation.
+ * panic() terminates on internal simulator bugs; inform()/warn()
+ * report status without stopping the simulation. A simulated machine
+ * that cannot continue a run throws SimError (common/sim_error.hh)
+ * instead, so the fault stays in that run.
  */
 
 #ifndef PTH_COMMON_LOGGING_HH
@@ -21,13 +22,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a warning message to stderr ("warn: ..."). */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/**
- * Terminate because of a user-level error (bad configuration or
- * arguments). Exits with status 1.
- */
-[[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
 
 /**
  * Terminate because of an internal simulator bug. Calls abort() so a

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -14,6 +16,7 @@
 #include "attack/pthammer.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/sim_error.hh"
 #include "common/sync.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
@@ -48,8 +51,8 @@ struct DerivedRun
  * Resolve a spec to the MachineConfig and AttackConfig its run uses:
  * preset, defense, DRAM model, seed re-keying per the spec's
  * SeedScope, then the tweakMachine hook. Deterministic — run() calls
- * it again during snapshot-sharing detection and must see the same
- * config runOne builds the machine from.
+ * it again during run planning and must see the same config runOne
+ * builds the machine from.
  */
 DerivedRun
 deriveRun(const RunSpec &spec)
@@ -85,6 +88,89 @@ deriveRun(const RunSpec &spec)
     if (spec.tweakMachine)
         spec.tweakMachine(derived.config);
     return derived;
+}
+
+/** Each run's derived MachineConfig; nullopt where deriving throws. */
+using DerivedConfigs = std::vector<std::optional<MachineConfig>>;
+
+/**
+ * Derive every spec's MachineConfig once for run planning. A
+ * derivation that throws (a bad tweakMachine hook) must not abort the
+ * plan: the spec just cold-constructs and is dispatched last, and
+ * runOne surfaces the error in that run's result as always.
+ */
+DerivedConfigs
+deriveConfigs(const std::vector<RunSpec> &specs)
+{
+    DerivedConfigs configs(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        try {
+            configs[i] = deriveRun(specs[i]).config;
+        } catch (...) {
+        }
+    }
+    return configs;
+}
+
+/**
+ * Snapshot-sharing plan: groups[i] is the sharing-group id of run i,
+ * or -1 when it cold-constructs (group of one, underivable config, or
+ * sharing disabled). A pure function of the spec list, so every
+ * process of a sharded campaign computes the same plan.
+ */
+std::vector<int>
+sharePlan(bool reuseMachines, const DerivedConfigs &configs)
+{
+    const std::size_t n = configs.size();
+    std::vector<int> groups(n, -1);
+    if (!reuseMachines)
+        return groups;
+
+    // Union by config equality: owner[i] is the first index with run
+    // i's config. Quadratic in distinct configs, fine at sweep sizes.
+    std::vector<std::size_t> owner(n);
+    std::vector<std::size_t> members(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        owner[i] = i;
+        if (configs[i]) {
+            for (std::size_t j = 0; j < i; ++j) {
+                if (owner[j] == j && configs[j] &&
+                    *configs[j] == *configs[i]) {
+                    owner[i] = j;
+                    break;
+                }
+            }
+        }
+        ++members[owner[i]];
+    }
+
+    // A group of one cold-constructs: forking a machine used once is
+    // a deep copy with nothing to amortize it over.
+    std::vector<int> ids(n, -1);
+    int next = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (owner[i] == i && members[i] >= 2)
+            ids[i] = next++;
+    for (std::size_t i = 0; i < n; ++i)
+        groups[i] = ids[owner[i]];
+    return groups;
+}
+
+/** Campaign::dispatchOrder over already-derived configs. */
+std::vector<std::size_t>
+dispatchOrderOf(const DerivedConfigs &configs)
+{
+    std::vector<std::uint64_t> cost(configs.size(), 0);
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        if (configs[i])
+            cost[i] = configs[i]->caches.llc.capacity();
+    std::vector<std::size_t> order(configs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&cost](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    return order;
 }
 
 /** Fill the result fields shared by every strategy. */
@@ -302,11 +388,11 @@ Campaign::runOne(const RunSpec &spec, std::size_t index,
     RunResult res = specResultShell(spec, index);
 
     auto wallStart = std::chrono::steady_clock::now();
+    std::unique_ptr<Machine> forked;
     try {
         DerivedRun derived = deriveRun(spec);
         const AttackConfig &attack = derived.attack;
 
-        std::unique_ptr<Machine> forked;
         if (snapshot) {
             pth_assert(snapshot->machine().config() == derived.config,
                        "snapshot built from a different machine"
@@ -337,6 +423,20 @@ Campaign::runOne(const RunSpec &spec, std::size_t index,
             }
         }
         finishResult(res, machine);
+    } catch (const SimError &e) {
+        // A simulated fault ends this run only. Name the journal spec
+        // key and the state the machine faulted in, so the failure
+        // can be found and replayed.
+        const std::string state =
+            forked ? strfmt("%016llx", static_cast<unsigned long long>(
+                                           forked->stateFingerprint()))
+                   : std::string("not built");
+        res.ok = false;
+        res.error = strfmt(
+            "%s [spec key %016llx, machine state %s]", e.what(),
+            static_cast<unsigned long long>(
+                specKey(spec, /*sharedMachine=*/snapshot != nullptr)),
+            state.c_str());
     } catch (const std::exception &e) {
         res.ok = false;
         res.error = e.what();
@@ -351,72 +451,21 @@ Campaign::runOne(const RunSpec &spec, std::size_t index,
     return res;
 }
 
-std::vector<int>
-Campaign::sharePlan(bool reuseMachines,
-                    std::vector<MachineConfig> *configsOut) const
-{
-    const std::size_t n = specs_.size();
-    std::vector<int> groups(n, -1);
-    if (!reuseMachines) {
-        if (configsOut)
-            configsOut->clear();
-        return groups;
-    }
-
-    // A derivation that throws (a bad tweakMachine hook) must not
-    // abort the plan: the spec just cold-constructs, and runOne
-    // surfaces the error in that run's result as always.
-    std::vector<MachineConfig> configs(n);
-    std::vector<char> derivable(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        try {
-            configs[i] = deriveRun(specs_[i]).config;
-            derivable[i] = 1;
-        } catch (...) {
-        }
-    }
-
-    // Union by config equality: owner[i] is the first index with run
-    // i's config. Quadratic in distinct configs, fine at sweep sizes.
-    std::vector<std::size_t> owner(n);
-    std::vector<std::size_t> members(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        owner[i] = i;
-        if (derivable[i]) {
-            for (std::size_t j = 0; j < i; ++j) {
-                if (owner[j] == j && derivable[j] &&
-                    configs[j] == configs[i]) {
-                    owner[i] = j;
-                    break;
-                }
-            }
-        }
-        ++members[owner[i]];
-    }
-
-    // A group of one cold-constructs: forking a machine used once is
-    // a deep copy with nothing to amortize it over.
-    std::vector<int> ids(n, -1);
-    int next = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        if (owner[i] == i && members[i] >= 2)
-            ids[i] = next++;
-    for (std::size_t i = 0; i < n; ++i)
-        groups[i] = ids[owner[i]];
-
-    if (configsOut)
-        *configsOut = std::move(configs);
-    return groups;
-}
-
 std::vector<std::uint64_t>
 Campaign::specKeys(const CampaignOptions &options) const
 {
-    const std::vector<int> groups = sharePlan(options.reuseMachines);
+    const std::vector<int> groups =
+        sharePlan(options.reuseMachines, deriveConfigs(specs_));
     std::vector<std::uint64_t> keys(specs_.size());
     for (std::size_t i = 0; i < specs_.size(); ++i)
         keys[i] = specKey(specs_[i], /*sharedMachine=*/groups[i] >= 0);
     return keys;
+}
+
+std::vector<std::size_t>
+Campaign::dispatchOrder() const
+{
+    return dispatchOrderOf(deriveConfigs(specs_));
 }
 
 std::vector<RunResult>
@@ -435,9 +484,9 @@ Campaign::run(const CampaignOptions &options) const
     // that throws leaves snap empty so the next group member retries.
     // Once built, the snapshot is immutable; handing the raw pointer
     // out of the lock is safe because run() outlives the pool.
-    std::vector<MachineConfig> derivedConfigs;
+    const DerivedConfigs configs = deriveConfigs(specs_);
     const std::vector<int> groups =
-        sharePlan(options.reuseMachines, &derivedConfigs);
+        sharePlan(options.reuseMachines, configs);
     struct SnapshotSlot
     {
         Mutex mtx;
@@ -450,8 +499,7 @@ Campaign::run(const CampaignOptions &options) const
     slots.reserve(static_cast<std::size_t>(nGroups));
     for (int g = 0; g < nGroups; ++g)
         slots.push_back(std::make_unique<SnapshotSlot>());
-    auto snapshotFor = [&groups, &slots,
-                        &derivedConfigs](std::size_t i)
+    auto snapshotFor = [&groups, &slots, &configs](std::size_t i)
         -> const MachineSnapshot * {
         const int group = groups[i];
         if (group < 0)
@@ -460,7 +508,7 @@ Campaign::run(const CampaignOptions &options) const
         MutexLock lock(slot.mtx);
         if (!slot.snap)
             slot.snap = std::make_unique<MachineSnapshot>(
-                std::make_unique<Machine>(derivedConfigs[i]));
+                std::make_unique<Machine>(*configs[i]));
         return slot.snap.get();
     };
 
@@ -540,9 +588,12 @@ Campaign::run(const CampaignOptions &options) const
         return results;
     }
 
+    // Longest expected run first (see dispatchOrder), so the slowest
+    // run does not start last and leave the other workers idle. Only
+    // start times change: results are joined in index order below.
     ThreadPool pool(options.threads);
     std::vector<std::future<RunResult>> futures(n);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i : dispatchOrderOf(configs))
         if (!cached[i] && owned(i))
             futures[i] =
                 pool.submit([&executeOne, i] { return executeOne(i); });

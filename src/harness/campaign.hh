@@ -147,8 +147,8 @@ struct RunSpec
     /**
      * Optional last-word hook over the machine configuration. May be
      * invoked more than once per run — config derivation is repeated
-     * for snapshot-sharing detection — so it must be deterministic
-     * and side-effect-free.
+     * for run planning (snapshot sharing, dispatch order) — so it
+     * must be deterministic and side-effect-free.
      */
     std::function<void(MachineConfig &)> tweakMachine;
 
@@ -274,9 +274,10 @@ class Campaign
     /**
      * Execute every queued run and return results in index order.
      * threads == 1 runs inline; otherwise runs are submitted to a
-     * ThreadPool and joined in order. With options.journalPath the
-     * campaign checkpoints each completed run and, when resuming,
-     * only executes runs the journal does not already hold.
+     * ThreadPool in dispatchOrder() and joined in index order. With
+     * options.journalPath the campaign checkpoints each completed run
+     * and, when resuming, only executes runs the journal does not
+     * already hold.
      */
     std::vector<RunResult> run(const CampaignOptions &options = {}) const;
 
@@ -291,10 +292,26 @@ class Campaign
     specKeys(const CampaignOptions &options = {}) const;
 
     /**
+     * The order run() submits runs to its worker pool (threads != 1):
+     * descending LLC capacity of each run's derived MachineConfig,
+     * equal capacities in index order, runs whose derivation throws
+     * last. LLC capacity sets a run's host cost — the eviction pool
+     * sweeps a buffer sized from it and every Algorithm-2 profile
+     * touches ways + margin lines — so the longest runs start first
+     * instead of after the short ones. A pure function of the spec
+     * list; results are still joined and reported in index order,
+     * so no report depends on it. The serial path and --workers
+     * shards (index % N) keep index order.
+     */
+    std::vector<std::size_t> dispatchOrder() const;
+
+    /**
      * Execute a single spec (what each worker does). With a non-null
      * snapshot the run's machine is forked from it instead of
      * cold-constructed; the snapshot must have been built from the
-     * spec's own derived MachineConfig (asserted).
+     * spec's own derived MachineConfig (asserted). A simulated fault
+     * (SimError) fails this run only: ok = false, and the error
+     * names the spec key and the machine's stateFingerprint().
      */
     static RunResult runOne(const RunSpec &spec, std::size_t index,
                             const MachineSnapshot *snapshot = nullptr);
@@ -313,17 +330,6 @@ class Campaign
     static Table summaryTable(const std::vector<RunResult> &results);
 
   private:
-    /**
-     * Snapshot-sharing plan: groups[i] is the sharing-group id of run
-     * i, or -1 when it cold-constructs (group of one, or sharing
-     * disabled). A pure function of the spec list, so every process
-     * of a sharded campaign computes the same plan. When configsOut
-     * is non-null it receives each run's derived MachineConfig.
-     */
-    std::vector<int> sharePlan(
-        bool reuseMachines,
-        std::vector<MachineConfig> *configsOut = nullptr) const;
-
     std::vector<RunSpec> specs_;
 };
 

@@ -55,7 +55,7 @@ std::uint64_t specKey(const RunSpec &spec);
 /**
  * specKey with the campaign's snapshot-sharing decision folded in:
  * sharedMachine is true when the run forks a shared warm machine
- * instead of cold-constructing (Campaign::sharePlan). Folded only
+ * instead of cold-constructing (Campaign::specKeys). Folded only
  * when set, so existing journals (all cold runs) stay valid, while a
  * result produced under one execution mode never satisfies a resume
  * under the other — the byte-identity contract makes the results

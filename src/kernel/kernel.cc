@@ -1,6 +1,8 @@
 #include "kernel/kernel.hh"
 
 #include "common/logging.hh"
+#include "common/sim_error.hh"
+#include "common/table.hh"
 #include "dram/address_mapping.hh"
 #include "dram/vulnerability_model.hh"
 #include "mem/physical_memory.hh"
@@ -94,8 +96,10 @@ Kernel::allocFrame(AllocIntent intent, std::uint64_t owner)
 {
     PhysFrame f = policy->alloc(intent, owner);
     if (f == kInvalidFrame)
-        fatal("out of physical memory (defense=%s, intent=%d)",
-              policy->name().c_str(), static_cast<int>(intent));
+        throw SimError(strfmt("out of physical memory (defense=%s,"
+                              " intent=%d)",
+                              policy->name().c_str(),
+                              static_cast<int>(intent)));
     return f;
 }
 
@@ -246,7 +250,7 @@ Kernel::mmapHuge(Process &proc, VirtAddr va, std::uint64_t bytes)
             proc.userFrames.push_back(candidate);  // burned, stays live
         }
         if (f == kInvalidFrame)
-            fatal("could not assemble a 2 MiB superpage");
+            throw SimError("could not assemble a 2 MiB superpage");
         proc.pageTables()->map2m(va + i * kSuperPageBytes, f);
         clk.advance(cfg.pageFaultCycles);
     }

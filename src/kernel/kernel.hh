@@ -206,7 +206,8 @@ class Kernel
     std::uint64_t stateHash() const;
 
   private:
-    /** Defense-routed frame allocation; fatal when exhausted. */
+    /** Defense-routed frame allocation; throws SimError when
+     * exhausted. */
     PhysFrame allocFrame(AllocIntent intent, std::uint64_t owner);
 
     /** Page-table frame source for one process. */

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -16,6 +17,8 @@
 #include <unistd.h>
 
 #include "common/stats.hh"
+#include "common/table.hh"
+#include "cpu/machine.hh"
 #include "harness/campaign.hh"
 #include "harness/scratch_dir.hh"
 #include "harness/self_exe.hh"
@@ -42,6 +45,31 @@ smallCampaign(unsigned seeds)
 
     Campaign campaign;
     campaign.addSeedSweep(base, /*seedBase=*/100, seeds);
+    return campaign;
+}
+
+/**
+ * Test-small runs that differ only in LLC ways — 8, 12, 16, so LLC
+ * capacity, and with it Campaign::dispatchOrder, runs opposite to
+ * index order — with two attacker seeds each (pairs share a warm
+ * machine). A non-null body replaces the attack.
+ */
+Campaign
+llcWaysCampaign(
+    std::function<void(Machine &, const AttackConfig &, RunResult &)>
+        body = nullptr)
+{
+    Campaign base = smallCampaign(1);
+    Campaign campaign;
+    for (unsigned ways : {8u, 12u, 16u}) {
+        RunSpec spec = base.specs()[0];
+        spec.label = strfmt("ways%u", ways);
+        spec.tweakMachine = [ways](MachineConfig &config) {
+            config.caches.llc.ways = ways;
+        };
+        spec.body = body;
+        campaign.addAttackSeedSweep(spec, /*seedBase=*/100, 2);
+    }
     return campaign;
 }
 
@@ -204,6 +232,75 @@ TEST(Campaign, RunFailuresAreRecordedNotFatal)
     CampaignOptions strict;
     strict.rethrow = true;
     EXPECT_THROW(campaign.run(strict), std::runtime_error);
+}
+
+TEST(Campaign, DispatchOrderIsLargestLlcFirst)
+{
+    Campaign campaign;
+    for (MachinePreset preset :
+         {MachinePreset::TestSmall, MachinePreset::DellE6420,
+          MachinePreset::LenovoT420, MachinePreset::LenovoX230}) {
+        RunSpec spec;
+        spec.preset = preset;
+        campaign.add(spec);
+    }
+    RunSpec bad;
+    bad.preset = MachinePreset::DellE6420;
+    bad.tweakMachine = [](MachineConfig &) {
+        throw std::runtime_error("tweak boom");
+    };
+    campaign.add(bad);
+    // E6420 (4 MiB LLC) first; T420 and X230 (3 MiB) tie in index
+    // order; test-small; the underivable spec costs 0 and goes last.
+    EXPECT_EQ(campaign.dispatchOrder(),
+              (std::vector<std::size_t>{1, 2, 3, 0, 4}));
+}
+
+TEST(Campaign, ReorderedPoolIsByteIdenticalToSerial)
+{
+    Campaign campaign = llcWaysCampaign();
+    ASSERT_EQ(campaign.dispatchOrder(),
+              (std::vector<std::size_t>{4, 5, 2, 3, 0, 1}));
+
+    CampaignOptions serial;
+    serial.threads = 1;
+    const std::vector<RunResult> expected = campaign.run(serial);
+    for (const RunResult &r : expected)
+        EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+
+    CampaignOptions pooled;
+    pooled.threads = 3;
+    EXPECT_EQ(Campaign::toJson(campaign.run(pooled)),
+              Campaign::toJson(expected));
+}
+
+TEST(Campaign, ReorderedPoolJournalResumesSerially)
+{
+    std::atomic<unsigned> executions{0};
+    Campaign campaign = llcWaysCampaign(
+        [&executions](Machine &machine, const AttackConfig &,
+                      RunResult &res) {
+            ++executions;
+            res.flips = machine.config().caches.llc.ways;
+            res.attempts = static_cast<unsigned>(res.seed);
+        });
+    const std::string journal =
+        testing::TempDir() + "pth_harness_dispatch.jsonl";
+    std::remove(journal.c_str());
+
+    CampaignOptions pooled;
+    pooled.threads = 3;
+    pooled.journalPath = journal;
+    const std::string expected = Campaign::toJson(campaign.run(pooled));
+    EXPECT_EQ(executions.load(), campaign.size());
+
+    executions = 0;
+    CampaignOptions serial;
+    serial.threads = 1;
+    serial.journalPath = journal;
+    EXPECT_EQ(Campaign::toJson(campaign.run(serial)), expected);
+    EXPECT_EQ(executions.load(), 0u);
+    std::remove(journal.c_str());
 }
 
 TEST(Campaign, JsonReportsRunsAndAggregate)

@@ -8,16 +8,18 @@
  *
  * The test binary is its own shard worker: invoked with
  * `--pth-worker [--die-at=K] [--die-marker=PATH]
- * [--record-threads=PATH] <bench flags>` (in any order) it behaves
- * like a bench binary (BenchCli + runCampaign) over a fixed 9-run
- * campaign, so CampaignCtl and the BenchCli --workers parent path are
- * exercised against real subprocesses. --die-at=K makes the worker
- * SIGKILL itself when it reaches run K; with --die-marker the suicide
- * happens only while the marker file does not exist (created just
- * before dying), so the respawned worker survives — without it the
- * worker dies on every attempt, which is how a permanently lost shard
- * is simulated. --record-threads appends "<shard> <threads>" — the
- * worker's parsed --shard index and thread count — to PATH.
+ * [--record-threads=PATH] [--fault-campaign] <bench flags>` (in any
+ * order) it behaves like a bench binary (BenchCli + runCampaign) over
+ * a fixed 9-run campaign (with --fault-campaign, the 4-run campaign
+ * of makeFaultCampaign), so CampaignCtl and the BenchCli --workers
+ * parent path are exercised against real subprocesses. --die-at=K
+ * makes the worker SIGKILL itself when it reaches run K; with
+ * --die-marker the suicide happens only while the marker file does
+ * not exist (created just before dying), so the respawned worker
+ * survives — without it the worker dies on every attempt, which is
+ * how a permanently lost shard is simulated. --record-threads
+ * appends "<shard> <threads>" — the worker's parsed --shard index and
+ * thread count — to PATH.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +37,7 @@
 #include <unistd.h>
 
 #include "common/table.hh"
+#include "cpu/machine.hh"
 #include "harness/bench_cli.hh"
 #include "harness/campaign.hh"
 #include "harness/campaign_ctl.hh"
@@ -102,6 +105,39 @@ makeCampaign(unsigned dieAtIndex = kNoDie,
     return campaign;
 }
 
+/**
+ * Runs 0-2 of makeCampaign with a run inserted at index 1. With
+ * withFault its body maps anonymous memory until the simulated kernel
+ * runs out of physical frames (test-small has 256 MiB); without, it
+ * maps nothing.
+ */
+Campaign
+makeFaultCampaign(bool withFault)
+{
+    RunSpec oom;
+    oom.label = "oom";
+    oom.preset = MachinePreset::TestSmall;
+    oom.seed = 90;
+    oom.body = [withFault](Machine &machine, const AttackConfig &,
+                           RunResult &) {
+        if (!withFault)
+            return;
+        Kernel &kernel = machine.kernel();
+        Process &proc = kernel.createProcess(/*uid=*/1000);
+        constexpr std::uint64_t kChunk = 64ull << 20;
+        for (unsigned i = 0; i < 8; ++i)
+            kernel.mmapAnon(proc, 0x100000000ull + i * kChunk, kChunk);
+    };
+
+    const Campaign full = makeCampaign();
+    Campaign campaign;
+    campaign.add(full.specs()[0]);
+    campaign.add(oom);
+    campaign.add(full.specs()[1]);
+    campaign.add(full.specs()[2]);
+    return campaign;
+}
+
 /** Subprocess entry: some argv[i] == "--pth-worker". */
 int
 workerMain(int argc, char **argv)
@@ -109,6 +145,7 @@ workerMain(int argc, char **argv)
     unsigned dieAt = kNoDie;
     std::string marker;
     std::string recordThreads;
+    bool faultCampaign = false;
     std::vector<char *> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -121,6 +158,8 @@ workerMain(int argc, char **argv)
             marker = argv[i] + 13;
         else if (!std::strncmp(argv[i], "--record-threads=", 17))
             recordThreads = argv[i] + 17;
+        else if (!std::strcmp(argv[i], "--fault-campaign"))
+            faultCampaign = true;
         else
             args.push_back(argv[i]);
     }
@@ -131,7 +170,8 @@ workerMain(int argc, char **argv)
         std::ofstream(recordThreads, std::ios::app)
             << cli.options.shardIndex << ' ' << cli.options.threads
             << '\n';
-    Campaign campaign = makeCampaign(dieAt, marker);
+    Campaign campaign = faultCampaign ? makeFaultCampaign(true)
+                                      : makeCampaign(dieAt, marker);
     cli.runCampaign(campaign); // worker mode: exits inside
     return 0;
 }
@@ -578,6 +618,57 @@ TEST(Shard, DeadWorkerSurfacesInReportAndFailureCount)
     EXPECT_GT(cli.failureCount(results), 0u);
 
     removeWorkerArtifacts(journal, 3);
+}
+
+TEST(Shard, SimulatedFaultFailsOnlyItsRunInEveryMode)
+{
+    const Campaign campaign = makeFaultCampaign(true);
+    const std::vector<RunResult> clean =
+        makeFaultCampaign(false).run(CampaignOptions{});
+
+    // The other three runs match the fault-free campaign's.
+    auto expectContained = [&clean](const std::vector<RunResult> &got) {
+        ASSERT_EQ(got.size(), 4u);
+        for (std::size_t i : {0u, 2u, 3u}) {
+            EXPECT_TRUE(got[i].ok) << got[i].error;
+            EXPECT_EQ(Campaign::toJson({got[i]}),
+                      Campaign::toJson({clean[i]}));
+        }
+    };
+
+    CampaignOptions serial;
+    serial.threads = 1;
+    const std::vector<RunResult> expected = campaign.run(serial);
+    expectContained(expected);
+    const RunResult &fault = expected[1];
+    EXPECT_FALSE(fault.ok);
+    EXPECT_EQ(fault.error.rfind("out of physical memory (defense=", 0),
+              0u)
+        << fault.error;
+    EXPECT_NE(fault.error.find(strfmt(
+                  "[spec key %016llx, machine state ",
+                  static_cast<unsigned long long>(
+                      campaign.specKeys(serial)[1]))),
+              std::string::npos)
+        << fault.error;
+    EXPECT_EQ(fault.error.find("not built"), std::string::npos);
+
+    CampaignOptions pooled;
+    pooled.threads = 2;
+    const std::vector<RunResult> threaded = campaign.run(pooled);
+    expectContained(threaded);
+    EXPECT_EQ(Campaign::toJson(threaded), Campaign::toJson(expected));
+
+    const std::string journal = tempPath("fault.jsonl");
+    removeWorkerArtifacts(journal, 2);
+    BenchCli cli = parseArgs(
+        {gProgram, "--workers=2", "--journal=" + journal, "--fresh"},
+        {"--pth-worker", "--fault-campaign"});
+    const std::vector<RunResult> workers = cli.runCampaign(campaign);
+    EXPECT_EQ(cli.workerDeaths, 0u);
+    expectContained(workers);
+    EXPECT_EQ(Campaign::toJson(workers), Campaign::toJson(expected));
+    removeWorkerArtifacts(journal, 2);
 }
 
 TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
