@@ -43,8 +43,8 @@ usage(const char *prog, const char *summary)
         "  --shard I/N     execute only runs with index %% N == I\n"
         "                  into this process's journal (requires\n"
         "                  --journal); merge the N shard journals\n"
-        "                  with campaign_merge, then rerun with the\n"
-        "                  merged journal for the full report\n"
+        "                  with campaign_query -o, then rerun with\n"
+        "                  the merged journal for the full report\n"
         "  --workers N     local multi-process dispatch: fork N\n"
         "                  shard workers of this binary, merge\n"
         "                  their journals, report from the merge\n"

@@ -14,7 +14,7 @@
  *   --shard I/N     execute only runs with index % N == I into this
  *                   process's journal (requires --journal) — the
  *                   manual multi-host dispatch building block; merge
- *                   the shard journals with tools/campaign_merge
+ *                   the shard journals with tools/campaign_query -o
  *   --workers N     automatic local multi-process dispatch: fork N
  *                   shard workers of this binary, merge their
  *                   journals, report from the merged journal

@@ -145,7 +145,7 @@ struct CampaignOutcome
     unsigned spawns = 0;        //!< worker attempts across shards
     unsigned reissues = 0;      //!< backup instances spawned
     std::vector<ShardOutcome> shards; //!< indexed by shard
-    ResultStore::MergeStats mergeStats;
+    ResultStore::FoldStats mergeStats;
 };
 
 /** Runs a manifest through the bounded worker pool. */

@@ -3,33 +3,33 @@
  * Queryable index over stored campaign results — the read side of the
  * "millions of runs" story. A JournalIndex ingests one or many
  * result-store journals (and campaign --json reports; the loader
- * sniffs), folds them with the same last-wins-by-run-index semantics
- * as ResultStore::merge, and answers the questions flat JSONL cannot:
+ * sniffs), folds them with ResultStore's fold — the same
+ * last-wins-by-run-index semantics as ResultStore::merge — and answers
+ * the questions flat JSONL cannot:
  *
  *  - filter by spec axis: label / machine preset / defense / hammer
  *    strategy / seed / DRAM flip model (AND of "axis=value" filters);
  *  - group-by aggregation: fold any selection into per-group
  *    CampaignAggregates, deterministically ordered;
  *  - two-artifact diff: the regression/trend comparison engine that
- *    tools/campaign_compare fronts and tools/campaign_query exposes
- *    as --trend, extracted here so both share one definition of
- *    "regression".
+ *    tools/campaign_query exposes as --trend.
  *
- * Corrupt journal lines are tolerated exactly like everywhere else in
- * the harness — skipped, counted in LoadStats, surfaced by callers —
- * so a torn shard journal can be queried without ceremony but never
- * silently shrinks an answer.
+ * Runs are held as ResultStore::Entry records (a RunResult plus its
+ * spec key), the same record the journal and Campaign use. Corrupt
+ * journal lines are tolerated exactly like everywhere else in the
+ * harness — skipped, counted in ResultStore::FoldStats, surfaced by
+ * callers — so a torn shard journal can be queried without ceremony
+ * but never silently shrinks an answer.
  */
 
 #ifndef PTH_HARNESS_JOURNAL_INDEX_HH
 #define PTH_HARNESS_JOURNAL_INDEX_HH
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "harness/campaign_result.hh"
+#include "harness/result_store.hh"
 
 namespace pth
 {
@@ -57,82 +57,39 @@ const char *runAxisName(RunAxis axis);
  */
 bool parseRunAxis(const std::string &text, RunAxis &out);
 
-/** One run loaded from a journal or a campaign JSON report. */
-struct IndexedRun
-{
-    std::size_t index = 0;      //!< run index within its campaign
-    std::string label;
-    std::string machine;        //!< machine preset name
-    std::string defense;
-    std::string strategy;
+/** A run's value on an axis, as the string filters match against
+ * (seed in decimal; an empty dramModel -> "unrecorded"). */
+std::string axisValue(const RunResult &run, RunAxis axis);
 
-    /** DRAM flip-model name; empty when the artifact predates the
-     * field (axisValue renders that as "unrecorded"). */
-    std::string dramModel;
-
-    std::uint64_t seed = 0;
-    std::uint64_t key = 0;      //!< journal spec key; 0 for report runs
-
-    bool ok = true;
-    bool flipped = false;
-    bool escalated = false;
-    std::uint64_t flips = 0;
-    std::uint64_t attempts = 0;
-    double simSeconds = 0;
-    double timeToFlipMinutes = 0;
-    std::vector<std::pair<std::string, double>> metrics;
-
-    /** The run's value on an axis, as the string filters match
-     * against (seed in decimal; empty dramModel -> "unrecorded"). */
-    std::string axisValue(RunAxis axis) const;
-};
-
-/** Project a journal RunResult onto the indexable view. */
-IndexedRun indexedRunFromResult(const RunResult &result,
-                                std::uint64_t key = 0);
+/** True when path holds a campaign JSON report (an object with
+ * "runs") rather than a journal; false when it cannot be read. */
+bool isCampaignReport(const std::string &path);
 
 /** An indexed set of runs from one or many stored artifacts. */
 class JournalIndex
 {
   public:
-    /** What loading saw; corrupt lines are the visible trace of torn
-     * shard journals and must be surfaced by query tools. */
-    struct LoadStats
-    {
-        unsigned journals = 0;      //!< JSONL artifacts ingested
-        unsigned reports = 0;       //!< campaign JSON reports ingested
-        std::size_t entries = 0;    //!< run records read (pre-dedup)
-        std::size_t superseded = 0; //!< duplicate indices overwritten
-        std::size_t corruptLines = 0;
-    };
-
-    /**
-     * Ingest a result-store journal. Later entries supersede earlier
-     * ones with the same run index — within the file and across
-     * files, in ingestion order — matching ResultStore::merge, so
-     * indexing shard journals answers like querying their merge.
-     * Returns false (and indexes nothing) when the file is
-     * unreadable; a readable journal with only corrupt lines still
-     * "loads" with the damage counted in stats().
-     */
-    bool addJournal(const std::string &path);
-
     /**
      * Ingest either stored artifact: a campaign JSON report (object
-     * with "runs") or a journal — the sniffing loader
-     * campaign_compare uses for its arguments. On failure returns
-     * false and, when error is non-null, says why.
+     * with "runs") or a result-store journal; the loader sniffs.
+     * Journals go through ResultStore::fold, so later entries
+     * supersede earlier ones with the same run index — within the
+     * file and across artifacts, in ingestion order — and indexing
+     * shard journals answers like querying their merge. Report runs
+     * fold the same way, with spec key 0. On failure (unreadable, or
+     * nothing recognisable in it) returns false and, when error is
+     * non-null, says why; corrupt journal lines are counted in
+     * stats() either way.
      */
     bool addArtifact(const std::string &path,
                      std::string *error = nullptr);
 
-    const LoadStats &stats() const { return stats_; }
-    bool empty() const { return byIndex_.empty(); }
-    std::size_t size() const { return byIndex_.size(); }
+    const ResultStore::FoldStats &stats() const { return stats_; }
+    bool empty() const { return entries_.empty(); }
+    std::size_t size() const { return entries_.size(); }
 
-    /** Every indexed run, ascending run index. Pointers are owned by
-     * the index and valid until the next add. */
-    std::vector<const IndexedRun *> runs() const;
+    /** Every indexed record by run index (spec keys included). */
+    const ResultStore::Entries &entries() const { return entries_; }
 
     /** One "axis=value" selection term. */
     struct Filter
@@ -149,12 +106,13 @@ class JournalIndex
     static bool parseFilter(const std::string &text, Filter &out,
                             std::string *error = nullptr);
 
-    /** Runs matching every filter (AND), ascending run index. */
-    std::vector<const IndexedRun *>
+    /** Runs matching every filter (AND), ascending run index.
+     * Pointers are owned by the index and valid until the next add. */
+    std::vector<const RunResult *>
     select(const std::vector<Filter> &filters) const;
 
     /** One group of a group-by: the axis value and the fold over the
-     * group's runs (same fold as Campaign::aggregate). */
+     * group's runs (CampaignAggregate::add, as Campaign::aggregate). */
     struct Group
     {
         std::string value;
@@ -167,26 +125,19 @@ class JournalIndex
      * lexicographically.
      */
     static std::vector<Group>
-    groupBy(const std::vector<const IndexedRun *> &runs, RunAxis axis);
+    groupBy(const std::vector<const RunResult *> &runs, RunAxis axis);
 
     /** Render a group-by as a summary table. */
     static Table groupTable(const std::vector<Group> &groups,
                             RunAxis axis);
 
     /** Render a selection as a one-row-per-run table. */
-    static Table runTable(const std::vector<const IndexedRun *> &runs);
+    static Table runTable(const std::vector<const RunResult *> &runs);
 
   private:
-    /** Fold one freshly parsed run in (last-wins by index). */
-    void insert(IndexedRun run);
-
-    std::map<std::size_t, IndexedRun> byIndex_;
-    LoadStats stats_;
+    ResultStore::Entries entries_;
+    ResultStore::FoldStats stats_;
 };
-
-/** Fold one indexed run into a CampaignAggregate (the same fold
- * Campaign::aggregate applies to RunResults). */
-void aggregateIndexedRun(CampaignAggregate &agg, const IndexedRun &run);
 
 /**
  * Equality at the JSON report's precision: reports render doubles
@@ -221,10 +172,10 @@ struct RunDelta
     /** Match name: the label, disambiguated with "#<index>" when the
      * label repeats in either artifact. */
     std::string name;
-    const IndexedRun *base = nullptr;    //!< null when Added
-    const IndexedRun *current = nullptr; //!< null when Removed
+    const RunResult *base = nullptr;    //!< null when Added
+    const RunResult *current = nullptr; //!< null when Removed
     RunDeltaStatus status = RunDeltaStatus::Unchanged;
-    std::string detail;                  //!< "now fails", "fewer flips", ...
+    std::string detail;                 //!< "now fails", "fewer flips", ...
 };
 
 /** The whole comparison, rows plus the counters the summary and the
@@ -241,19 +192,19 @@ struct RunDiff
 
 /**
  * Compare two run sets — the regression engine behind
- * campaign_compare and campaign_query --trend. A run REGRESSES when,
- * versus the baseline, it stops completing, stops flipping, stops
- * escalating, loses flips, or its simulated seconds grow beyond
+ * campaign_query --trend. A run REGRESSES when, versus the baseline,
+ * it stops completing, stops flipping, stops escalating, loses
+ * flips, or its simulated seconds grow beyond
  * options.tolerancePct. Runs are matched by label with "#<index>"
  * disambiguation of duplicated labels (both sides must disambiguate
  * the same way, so duplication on either side triggers it for both).
  */
-RunDiff diffRuns(const std::vector<const IndexedRun *> &baseline,
-                 const std::vector<const IndexedRun *> &current,
+RunDiff diffRuns(const std::vector<const RunResult *> &baseline,
+                 const std::vector<const RunResult *> &current,
                  const RunDiffOptions &options = {});
 
 /**
- * Render the diff as campaign_compare's delta table. Unchanged rows
+ * Render the diff as a per-run delta table. Unchanged rows
  * are included only with showAll.
  */
 Table diffTable(const RunDiff &diff, bool showAll);

@@ -404,34 +404,60 @@ ResultStore::deserialize(const std::string &line, Entry &out)
     return true;
 }
 
-std::map<std::size_t, ResultStore::Entry>
-ResultStore::load(const std::string &path, std::size_t *corruptLines)
+void
+ResultStore::fold(Entry entry, Entries &into, FoldStats &stats)
 {
-    std::map<std::size_t, Entry> entries;
-    if (corruptLines)
-        *corruptLines = 0;
-    std::ifstream in(path);
-    if (!in)
-        return entries;
+    const std::size_t index = entry.result.index;
+    auto slot = into.find(index);
+    if (slot == into.end()) {
+        ++stats.entries;
+        into.emplace(index, std::move(entry));
+        return;
+    }
+    ++stats.superseded;
+    slot->second = std::move(entry);
+}
+
+std::size_t
+ResultStore::fold(std::istream &journal, Entries &into,
+                  FoldStats &stats)
+{
+    std::size_t folded = 0;
     std::string line;
-    while (std::getline(in, line)) {
+    while (std::getline(journal, line)) {
         if (line.empty())
             continue;
         Entry entry;
-        if (deserialize(line, entry))
-            entries[entry.result.index] = std::move(entry);
-        else if (corruptLines)
-            ++*corruptLines;
+        if (!deserialize(line, entry)) {
+            ++stats.corruptLines;
+            continue;
+        }
+        fold(std::move(entry), into, stats);
+        ++folded;
     }
+    return folded;
+}
+
+ResultStore::Entries
+ResultStore::load(const std::string &path, std::size_t *corruptLines)
+{
+    Entries entries;
+    FoldStats stats;
+    std::ifstream in(path);
+    if (in)
+        fold(in, entries, stats);
+    if (corruptLines)
+        *corruptLines = stats.corruptLines;
     return entries;
 }
 
 bool
 ResultStore::merge(const std::vector<std::string> &inputs,
-                   std::ostream &out, MergeStats *stats)
+                   const std::string &outPath, FoldStats *stats,
+                   std::string *error)
 {
-    MergeStats local;
-    std::map<std::size_t, Entry> merged;
+    FoldStats local;
+    Entries merged;
     for (const std::string &path : inputs) {
         std::ifstream in(path);
         if (!in) {
@@ -439,62 +465,36 @@ ResultStore::merge(const std::vector<std::string> &inputs,
             continue;
         }
         ++local.inputs;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty())
-                continue;
-            Entry entry;
-            if (!deserialize(line, entry)) {
-                ++local.corruptLines;
-                continue;
-            }
-            const std::size_t index = entry.result.index;
-            if (merged.count(index))
-                ++local.overwritten;
-            merged[index] = std::move(entry);
-        }
+        fold(in, merged, local);
     }
-    local.entries = merged.size();
-
-    for (const auto &item : merged)
-        out << serialize(item.second.result, item.second.key) << '\n';
-    out.flush();
     if (stats)
         *stats = local;
-    return static_cast<bool>(out);
-}
 
-bool
-ResultStore::merge(const std::vector<std::string> &inputs,
-                   const std::string &outPath, MergeStats *stats,
-                   std::string *error)
-{
     // Staged beside outPath and renamed over it only once complete, so
     // no reader ever sees a half-written journal and a merge that read
     // nothing leaves the previous file untouched.
     const std::string staging = outPath + ".merging";
-    MergeStats local;
     auto fail = [&](const std::string &why) {
         std::remove(staging.c_str());
-        if (stats)
-            *stats = local;
         if (error)
             *error = why;
         return false;
     };
+    if (local.inputs == 0)
+        return fail("no readable input journal");
     {
         std::ofstream out(staging, std::ios::out | std::ios::trunc);
         if (!out)
             return fail("cannot write merged journal: " + staging);
-        if (!merge(inputs, out, &local))
+        for (const auto &item : merged)
+            out << serialize(item.second.result, item.second.key)
+                << '\n';
+        out.flush();
+        if (!out)
             return fail("short write on merged journal: " + staging);
     }
-    if (local.inputs == 0)
-        return fail("no readable input journal");
     if (std::rename(staging.c_str(), outPath.c_str()) != 0)
         return fail("cannot move " + staging + " into place");
-    if (stats)
-        *stats = local;
     return true;
 }
 

@@ -9,11 +9,12 @@
  *  - One journal line per completed run, written and flushed as the
  *    run finishes (checkpoint granularity = one run). record() is
  *    thread-safe; workers journal their own results.
- *  - load() tolerates corruption: a line that does not parse — the
+ *  - Reading tolerates corruption: a line that does not parse — the
  *    typical artifact of a process killed mid-write — is skipped, and
  *    the run it would have described is simply executed again on
  *    resume. When an index appears on several lines, the last valid
- *    one wins.
+ *    one wins. One fold implements this for resume (load), merge and
+ *    the query index (journal_index.hh).
  *  - A journaled result is only reused when its stored spec key
  *    matches the current spec at the same index (see specKey), so
  *    editing the sweep grid invalidates exactly the runs it changed.
@@ -100,53 +101,65 @@ class ResultStore
      */
     static bool deserialize(const std::string &line, Entry &out);
 
-    /**
-     * Load every valid journal line, keyed by run index; invalid
-     * lines are skipped and duplicate indices keep the last valid
-     * entry. A missing file yields an empty map.
-     *
-     * When corruptLines is non-null it receives the number of
-     * non-empty lines that failed to parse — the visible trace of a
-     * truncated or mangled journal. Callers that resume or merge
-     * should surface the count instead of letting a torn shard
-     * journal quietly shrink a campaign.
-     */
-    static std::map<std::size_t, Entry>
-    load(const std::string &path, std::size_t *corruptLines = nullptr);
+    /** Journal records by run index: what a fold produces. */
+    using Entries = std::map<std::size_t, Entry>;
 
-    /** What ResultStore::merge saw and produced. */
-    struct MergeStats
+    /**
+     * What a fold of stored results saw. load, merge and JournalIndex
+     * all count through this one struct; corrupt lines are the
+     * visible trace of a truncated or mangled journal, and callers
+     * that resume, merge or query surface them instead of letting a
+     * torn shard journal quietly shrink an answer.
+     */
+    struct FoldStats
     {
         unsigned inputs = 0;         //!< journals read
+        unsigned reports = 0;        //!< campaign JSON reports read
         unsigned missingInputs = 0;  //!< listed but absent on disk
-        std::size_t entries = 0;     //!< runs in the merged journal
-        std::size_t overwritten = 0; //!< duplicate indices superseded
+        std::size_t entries = 0;     //!< distinct run indices held
+        std::size_t superseded = 0;  //!< entries a later one replaced
         std::size_t corruptLines = 0;//!< unparsable lines skipped
     };
 
+    /** Fold one record in: the last record per run index wins. */
+    static void fold(Entry entry, Entries &into, FoldStats &stats);
+
     /**
-     * Merge shard journals into one canonical journal: inputs are
-     * read in argument order, corrupt lines are skipped (counted in
-     * stats), and when several entries claim the same run index the
-     * last one read wins — so listing an old journal first and
-     * fresher shard journals after yields shard-wins semantics. The
-     * output is re-serialized in ascending index order, i.e. the
-     * same bytes a single process journaling the same results would
-     * have produced. A missing input is tolerated (a worker may die
-     * before its first checkpoint) and counted in stats.
+     * Fold every journal line of a stream in, in order — the one
+     * loop that parses journal lines. Empty lines are ignored;
+     * lines that do not parse are skipped and counted in
+     * stats.corruptLines. Returns the number of records folded.
+     */
+    static std::size_t fold(std::istream &journal, Entries &into,
+                            FoldStats &stats);
+
+    /**
+     * Fold one journal file: the last valid entry per run index
+     * wins. A missing file yields an empty map. When corruptLines is
+     * non-null it receives the number of lines skipped.
+     */
+    static Entries load(const std::string &path,
+                        std::size_t *corruptLines = nullptr);
+
+    /**
+     * Merge shard journals into one canonical journal at outPath:
+     * inputs are folded in argument order, so when several entries
+     * claim the same run index the last one read wins — listing an
+     * old journal first and fresher shard journals after yields
+     * shard-wins semantics. The output is re-serialized in ascending
+     * index order, i.e. the same bytes a single process journaling
+     * the same results would have produced. A missing input is
+     * tolerated (a worker may die before its first checkpoint) and
+     * counted in stats.
      *
-     * The stream overload writes the merged lines to out. The path
-     * overload stages the merge in outPath + ".merging" and renames it
-     * over outPath; it returns false — with a message in *error when
-     * given, and outPath left as it was — when the output cannot be
-     * written or moved into place, or when no input was readable.
+     * The merge is staged in outPath + ".merging" and renamed over
+     * outPath. Returns false — with a message in *error when given,
+     * and outPath left as it was — when no input was readable or the
+     * output cannot be written or moved into place.
      */
     static bool merge(const std::vector<std::string> &inputs,
-                      std::ostream &out,
-                      MergeStats *stats = nullptr);
-    static bool merge(const std::vector<std::string> &inputs,
                       const std::string &outPath,
-                      MergeStats *stats = nullptr,
+                      FoldStats *stats = nullptr,
                       std::string *error = nullptr);
 
   private:

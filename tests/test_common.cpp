@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the common utilities: bit operations, deterministic
- * RNG, statistics and the table printer.
+ * RNG, statistics, the table printer and strict number parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/bitops.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -158,6 +161,34 @@ TEST(Table, RendersAlignedColumns)
 TEST(Table, StrfmtFormats)
 {
     EXPECT_EQ(strfmt("%d-%s", 5, "x"), "5-x");
+}
+
+TEST(Parse, NonNegativeRealAcceptsPlainDecimals)
+{
+    double value = -1.0;
+    EXPECT_TRUE(parseNonNegativeReal("10", value));
+    EXPECT_DOUBLE_EQ(value, 10.0);
+    EXPECT_TRUE(parseNonNegativeReal("2.5", value));
+    EXPECT_DOUBLE_EQ(value, 2.5);
+    EXPECT_TRUE(parseNonNegativeReal(".5", value));
+    EXPECT_DOUBLE_EQ(value, 0.5);
+    EXPECT_TRUE(parseNonNegativeReal("0", value));
+    EXPECT_DOUBLE_EQ(value, 0.0);
+}
+
+TEST(Parse, NonNegativeRealRejectsEverythingElse)
+{
+    for (const char *bad : {"abc", "nan", "inf", "-1", "5x", "", ".",
+                            "1.2.3", " 3", "+3", "1e3", "0x10"}) {
+        double value = 7.0;
+        EXPECT_FALSE(parseNonNegativeReal(bad, value)) << bad;
+        EXPECT_EQ(value, 7.0) << bad; // untouched on failure
+    }
+    double value = 7.0;
+    EXPECT_FALSE(parseNonNegativeReal(nullptr, value));
+    // Finite only: a digit string too long for a double overflows.
+    EXPECT_FALSE(parseNonNegativeReal(std::string(400, '9').c_str(),
+                                      value));
 }
 
 } // namespace

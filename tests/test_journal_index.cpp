@@ -4,8 +4,8 @@
  * hand-computed aggregates over hand-built journals, multi-journal
  * last-wins folding checked for consistency with ResultStore::merge,
  * corrupt-line tolerance, artifact sniffing (journal vs. campaign
- * JSON report), and the shared two-artifact diff engine behind
- * campaign_compare / campaign_query --trend.
+ * JSON report), and the two-artifact diff engine behind
+ * campaign_query --trend.
  */
 
 #include <gtest/gtest.h>
@@ -122,15 +122,22 @@ TEST(RunAxisTest, NamesAndAliasesRoundTrip)
 
 TEST(RunAxisTest, AxisValueRendersSeedAndUnrecordedModel)
 {
-    IndexedRun run = indexedRunFromResult(
-        makeRun(7, "Lenovo T420", "none", 42, 1), 123);
-    EXPECT_EQ(run.key, 123u);
-    EXPECT_EQ(run.axisValue(RunAxis::Label), "pt7");
-    EXPECT_EQ(run.axisValue(RunAxis::Machine), "Lenovo T420");
-    EXPECT_EQ(run.axisValue(RunAxis::Seed), "42");
-    EXPECT_EQ(run.axisValue(RunAxis::DramModel), "ddr3");
+    RunResult run = makeRun(7, "Lenovo T420", "none", 42, 1);
+    EXPECT_EQ(axisValue(run, RunAxis::Label), "pt7");
+    EXPECT_EQ(axisValue(run, RunAxis::Machine), "Lenovo T420");
+    EXPECT_EQ(axisValue(run, RunAxis::Seed), "42");
+    EXPECT_EQ(axisValue(run, RunAxis::DramModel), "ddr3");
     run.dramModel.clear(); // pre-dram-model journals
-    EXPECT_EQ(run.axisValue(RunAxis::DramModel), "unrecorded");
+    EXPECT_EQ(axisValue(run, RunAxis::DramModel), "unrecorded");
+
+    // The index keeps each run's journal spec key beside it.
+    const std::string journal = tempPath("axis_key.jsonl");
+    writeJournal(journal, {makeRun(7, "m", "none", 42, 1)},
+                 /*keyBase=*/116);
+    JournalIndex index;
+    ASSERT_TRUE(index.addArtifact(journal));
+    EXPECT_EQ(index.entries().at(7).key, 123u);
+    std::remove(journal.c_str());
 }
 
 TEST(JournalIndexTest, ParseFilterAcceptsAxisEqualsValue)
@@ -157,14 +164,14 @@ TEST(JournalIndexTest, SelectAppliesFiltersAsConjunction)
     writeJournal(journal, fixtureRuns());
 
     JournalIndex index;
-    ASSERT_TRUE(index.addJournal(journal));
+    ASSERT_TRUE(index.addArtifact(journal));
     EXPECT_EQ(index.size(), 6u);
-    EXPECT_EQ(index.stats().journals, 1u);
+    EXPECT_EQ(index.stats().inputs, 1u);
     EXPECT_EQ(index.stats().corruptLines, 0u);
 
-    auto labels = [](const std::vector<const IndexedRun *> &runs) {
+    auto labels = [](const std::vector<const RunResult *> &runs) {
         std::vector<std::string> out;
-        for (const IndexedRun *run : runs)
+        for (const RunResult *run : runs)
             out.push_back(run->label);
         return out;
     };
@@ -196,7 +203,7 @@ TEST(JournalIndexTest, GroupByMatchesHandComputedAggregates)
     const std::string journal = tempPath("group.jsonl");
     writeJournal(journal, fixtureRuns());
     JournalIndex index;
-    ASSERT_TRUE(index.addJournal(journal));
+    ASSERT_TRUE(index.addArtifact(journal));
 
     const auto groups =
         JournalIndex::groupBy(index.select({}), RunAxis::Machine);
@@ -237,7 +244,7 @@ TEST(JournalIndexTest, GroupByMatchesHandComputedAggregates)
     writeJournal(seedJournal, {makeRun(0, "m", "none", 10, 1),
                                makeRun(1, "m", "none", 2, 1)});
     JournalIndex seedIndex;
-    ASSERT_TRUE(seedIndex.addJournal(seedJournal));
+    ASSERT_TRUE(seedIndex.addArtifact(seedJournal));
     const auto seeds =
         JournalIndex::groupBy(seedIndex.select({}), RunAxis::Seed);
     ASSERT_EQ(seeds.size(), 2u);
@@ -262,30 +269,33 @@ TEST(JournalIndexTest, MultiJournalFoldMatchesResultStoreMerge)
     writeJournal(second, {newer1, newer2}, /*keyBase=*/500);
 
     JournalIndex direct;
-    ASSERT_TRUE(direct.addJournal(first));
-    ASSERT_TRUE(direct.addJournal(second));
+    ASSERT_TRUE(direct.addArtifact(first));
+    ASSERT_TRUE(direct.addArtifact(second));
     EXPECT_EQ(direct.size(), 3u);
-    EXPECT_EQ(direct.stats().entries, 5u);
+    // Five records read: three distinct runs, two superseded.
+    EXPECT_EQ(direct.stats().entries, 3u);
     EXPECT_EQ(direct.stats().superseded, 2u);
 
     const std::string merged = tempPath("fold_merged.jsonl");
-    ResultStore::MergeStats stats;
+    ResultStore::FoldStats stats;
     ASSERT_TRUE(ResultStore::merge({first, second}, merged, &stats));
-    EXPECT_EQ(stats.overwritten, 2u);
+    EXPECT_EQ(stats.superseded, 2u);
     JournalIndex viaMerge;
-    ASSERT_TRUE(viaMerge.addJournal(merged));
+    ASSERT_TRUE(viaMerge.addArtifact(merged));
 
-    const auto a = direct.runs();
-    const auto b = viaMerge.runs();
+    const auto a = direct.select({});
+    const auto b = viaMerge.select({});
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i]->index, b[i]->index);
         EXPECT_EQ(a[i]->label, b[i]->label);
         EXPECT_EQ(a[i]->seed, b[i]->seed);
-        EXPECT_EQ(a[i]->key, b[i]->key);
+        EXPECT_EQ(direct.entries().at(a[i]->index).key,
+                  viaMerge.entries().at(b[i]->index).key);
         EXPECT_EQ(a[i]->flips, b[i]->flips);
         EXPECT_EQ(a[i]->defense, b[i]->defense);
     }
+    EXPECT_EQ(direct.entries().at(1).key, 501u);
     // The superseding entries won.
     EXPECT_EQ(a[1]->seed, 20u);
     EXPECT_EQ(a[1]->flips, 7u);
@@ -314,7 +324,7 @@ TEST(JournalIndexTest, CorruptLinesAreSkippedAndCounted)
         out << full.substr(0, full.size() / 2);
     }
     JournalIndex index;
-    ASSERT_TRUE(index.addJournal(journal));
+    ASSERT_TRUE(index.addArtifact(journal));
     EXPECT_EQ(index.size(), 2u);
     EXPECT_EQ(index.stats().corruptLines, 3u);
     EXPECT_EQ(index.select({})[1]->label, "pt1");
@@ -322,10 +332,24 @@ TEST(JournalIndexTest, CorruptLinesAreSkippedAndCounted)
     // An unreadable path indexes nothing and reports failure.
     JournalIndex missing;
     std::string error;
-    EXPECT_FALSE(missing.addJournal("/nonexistent/x.jsonl"));
-    EXPECT_TRUE(missing.empty());
     EXPECT_FALSE(missing.addArtifact("/nonexistent/x.jsonl", &error));
+    EXPECT_TRUE(missing.empty());
     EXPECT_NE(error.find("cannot read"), std::string::npos);
+    EXPECT_FALSE(isCampaignReport("/nonexistent/x.jsonl"));
+
+    // A file of nothing but corrupt lines is no journal: the load
+    // fails, yet the damage is still counted.
+    const std::string allTorn = tempPath("corrupt_only.jsonl");
+    {
+        std::ofstream out(allTorn, std::ios::trunc);
+        out << "{\"torn\": \n";
+    }
+    JournalIndex torn;
+    EXPECT_FALSE(torn.addArtifact(allTorn, &error));
+    EXPECT_NE(error.find("neither a campaign report nor a journal"),
+              std::string::npos);
+    EXPECT_EQ(torn.stats().corruptLines, 1u);
+    std::remove(allTorn.c_str());
     std::remove(journal.c_str());
 }
 
@@ -349,24 +373,47 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
     ASSERT_TRUE(fromReport.addArtifact(report, &error)) << error;
     ASSERT_TRUE(fromJournal.addArtifact(journal, &error)) << error;
     EXPECT_EQ(fromReport.stats().reports, 1u);
-    EXPECT_EQ(fromReport.stats().journals, 0u);
-    EXPECT_EQ(fromJournal.stats().journals, 1u);
+    EXPECT_EQ(fromReport.stats().inputs, 0u);
+    EXPECT_EQ(fromJournal.stats().inputs, 1u);
+    EXPECT_TRUE(isCampaignReport(report));
+    EXPECT_FALSE(isCampaignReport(journal));
 
-    const auto a = fromReport.runs();
-    const auto b = fromJournal.runs();
+    const auto a = fromReport.select({});
+    const auto b = fromJournal.select({});
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i]->label, b[i]->label);
         EXPECT_EQ(a[i]->machine, b[i]->machine);
         EXPECT_EQ(a[i]->ok, b[i]->ok);
         EXPECT_EQ(a[i]->flips, b[i]->flips);
+        EXPECT_EQ(a[i]->attempts, b[i]->attempts);
         EXPECT_TRUE(sameReportValue(a[i]->simSeconds,
                                     b[i]->simSeconds));
+        EXPECT_TRUE(sameReportValue(
+            a[i]->report.timeToFirstFlipMinutes,
+            b[i]->report.timeToFirstFlipMinutes));
+        EXPECT_EQ(a[i]->metrics.size(), b[i]->metrics.size());
     }
     // Reports carry no spec keys or dram model.
-    EXPECT_EQ(a[0]->key, 0u);
-    EXPECT_EQ(a[0]->axisValue(RunAxis::DramModel), "unrecorded");
-    EXPECT_EQ(b[0]->axisValue(RunAxis::DramModel), "ddr3");
+    EXPECT_EQ(fromReport.entries().at(0).key, 0u);
+    EXPECT_EQ(fromJournal.entries().at(0).key, 100u);
+    EXPECT_EQ(axisValue(*a[0], RunAxis::DramModel), "unrecorded");
+    EXPECT_EQ(axisValue(*b[0], RunAxis::DramModel), "ddr3");
+
+    // ... so grouped by DRAM model, every report run lands in the
+    // "unrecorded" group, while the journal keeps the real name.
+    const auto reportGroups =
+        JournalIndex::groupBy(a, RunAxis::DramModel);
+    ASSERT_EQ(reportGroups.size(), 1u);
+    EXPECT_EQ(reportGroups[0].value, "unrecorded");
+    EXPECT_EQ(reportGroups[0].agg.runs, runs.size());
+    const auto journalGroups =
+        JournalIndex::groupBy(b, RunAxis::DramModel);
+    ASSERT_EQ(journalGroups.size(), 1u);
+    EXPECT_EQ(journalGroups[0].value, "ddr3");
+    // Both sources fold to the same aggregate.
+    EXPECT_EQ(reportGroups[0].agg.fingerprint(),
+              journalGroups[0].agg.fingerprint());
 
     // A JSON object without "runs" is neither artifact kind.
     const std::string bogus = tempPath("sniff_bogus.json");
@@ -382,21 +429,12 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
     std::remove(bogus.c_str());
 }
 
-/** Diff fixture: pointers into locally-owned IndexedRuns. */
-std::vector<IndexedRun>
-indexRuns(const std::vector<RunResult> &runs)
+/** Diff fixture: pointers into locally-owned runs. */
+std::vector<const RunResult *>
+pointers(const std::vector<RunResult> &runs)
 {
-    std::vector<IndexedRun> out;
+    std::vector<const RunResult *> out;
     for (const RunResult &r : runs)
-        out.push_back(indexedRunFromResult(r));
-    return out;
-}
-
-std::vector<const IndexedRun *>
-pointers(const std::vector<IndexedRun> &runs)
-{
-    std::vector<const IndexedRun *> out;
-    for (const IndexedRun &r : runs)
         out.push_back(&r);
     return out;
 }
@@ -420,10 +458,8 @@ TEST(RunDiffTest, ClassifiesEveryDeltaStatus)
     cur.erase(cur.begin() + 5);
     cur.push_back(makeRun(6, "Lenovo X230", "trr", 7, 1));
 
-    const std::vector<IndexedRun> baseIdx = indexRuns(base);
-    const std::vector<IndexedRun> curIdx = indexRuns(cur);
     const RunDiff diff =
-        diffRuns(pointers(baseIdx), pointers(curIdx));
+        diffRuns(pointers(base), pointers(cur));
 
     EXPECT_EQ(diff.regressions, 3u); // pt1, pt2, pt4
     EXPECT_EQ(diff.changed, 2u);     // pt0, pt3
@@ -440,7 +476,7 @@ TEST(RunDiffTest, ClassifiesEveryDeltaStatus)
         return RunDeltaStatus::Unchanged;
     };
     // Labels present on both sides are disambiguated "label#index"
-    // (campaign_compare's long-standing matching rule); one-sided
+    // (the diff's long-standing matching rule); one-sided
     // labels stay bare.
     EXPECT_EQ(statusOf("pt0#0"), RunDeltaStatus::Changed);
     EXPECT_EQ(statusOf("pt1#1"), RunDeltaStatus::Regressed);
@@ -465,10 +501,10 @@ TEST(RunDiffTest, ClassifiesEveryDeltaStatus)
 
     // Identical sets: all unchanged, nothing else.
     const RunDiff same =
-        diffRuns(pointers(baseIdx), pointers(baseIdx));
+        diffRuns(pointers(base), pointers(base));
     EXPECT_EQ(same.regressions, 0u);
     EXPECT_EQ(same.changed, 0u);
-    EXPECT_EQ(same.unchanged, baseIdx.size());
+    EXPECT_EQ(same.unchanged, base.size());
 }
 
 TEST(RunDiffTest, ToleranceGatesTheSlowerCriterion)
@@ -477,18 +513,16 @@ TEST(RunDiffTest, ToleranceGatesTheSlowerCriterion)
     std::vector<RunResult> cur = {makeRun(0, "m", "none", 1, 1)};
     cur[0].simSeconds = base[0].simSeconds * 1.15; // +15%
 
-    const std::vector<IndexedRun> baseIdx = indexRuns(base);
-    const std::vector<IndexedRun> curIdx = indexRuns(cur);
 
     RunDiffOptions strict;
     strict.tolerancePct = 10.0;
-    EXPECT_EQ(diffRuns(pointers(baseIdx), pointers(curIdx), strict)
+    EXPECT_EQ(diffRuns(pointers(base), pointers(cur), strict)
                   .regressions,
               1u);
     RunDiffOptions loose;
     loose.tolerancePct = 20.0;
     const RunDiff ok =
-        diffRuns(pointers(baseIdx), pointers(curIdx), loose);
+        diffRuns(pointers(base), pointers(cur), loose);
     EXPECT_EQ(ok.regressions, 0u);
     EXPECT_EQ(ok.changed, 1u); // still different, just tolerated
 }
@@ -507,10 +541,8 @@ TEST(RunDiffTest, DuplicatedLabelsAreDisambiguatedByIndex)
     cur[1].report.flipped = false;
     cur[1].report.timeToFirstFlipMinutes = 0.0;
 
-    const std::vector<IndexedRun> baseIdx = indexRuns(base);
-    const std::vector<IndexedRun> curIdx = indexRuns(cur);
     const RunDiff diff =
-        diffRuns(pointers(baseIdx), pointers(curIdx));
+        diffRuns(pointers(base), pointers(cur));
     EXPECT_EQ(diff.regressions, 1u);
     EXPECT_EQ(diff.added, 0u);
     EXPECT_EQ(diff.removed, 0u);

@@ -284,11 +284,11 @@ TEST(Shard, ShardedAndMergedReportByteIdenticalToSerial)
         const std::string merged =
             tempPath(strfmt("nway%u_merged.jsonl", shards).c_str());
         removeFile(merged);
-        ResultStore::MergeStats stats;
+        ResultStore::FoldStats stats;
         ASSERT_TRUE(
             ResultStore::merge(shardJournals, merged, &stats));
         EXPECT_EQ(stats.entries, kRuns);
-        EXPECT_EQ(stats.overwritten, 0u); // disjoint slices
+        EXPECT_EQ(stats.superseded, 0u); // disjoint slices
 
         // Serving the merged journal executes nothing and renders
         // the same bytes as the serial uninterrupted run.
@@ -334,11 +334,11 @@ TEST(Shard, MergeIsLastWinsWithStableOrderingAndCorruptTolerance)
     }
     std::ofstream(b, std::ios::app) << "{\"torn line\n";
 
-    ResultStore::MergeStats stats;
+    ResultStore::FoldStats stats;
     ASSERT_TRUE(ResultStore::merge({a, b}, merged, &stats));
     EXPECT_EQ(stats.inputs, 2u);
     EXPECT_EQ(stats.entries, 3u);
-    EXPECT_EQ(stats.overwritten, 1u);
+    EXPECT_EQ(stats.superseded, 1u);
     EXPECT_EQ(stats.corruptLines, 1u);
 
     // Last listed input wins the overlapped index.

@@ -1,11 +1,11 @@
 /**
  * @file
- * CLI-level tests for the operator tools: campaign_merge,
- * campaign_compare, campaign_query and campaign_ctl are exercised as
- * subprocesses — the way CI and operators run them — pinning exit
- * codes (regression counts, usage errors), corrupt-input tolerance
- * and the merge byte contract. Tool paths come from the build via
- * PTH_TOOL_* compile definitions.
+ * CLI-level tests for the operator tools: campaign_query (listing,
+ * --trend, -o merge) and campaign_ctl are exercised as subprocesses —
+ * the way CI and operators run them — pinning exit codes (regression
+ * counts, usage errors), corrupt-input tolerance and the merge byte
+ * contract. Tool paths come from the build via PTH_TOOL_* compile
+ * definitions.
  */
 
 #include <gtest/gtest.h>
@@ -105,10 +105,10 @@ writeJournal(const std::string &path,
 }
 
 // ---------------------------------------------------------------- //
-// campaign_merge                                                   //
+// campaign_query -o (journal merge)                                //
 // ---------------------------------------------------------------- //
 
-TEST(CampaignMergeCli, MergesShardsAndCountsSupersededDuplicates)
+TEST(CampaignQueryMergeCli, MergesShardsAndCountsSupersededDuplicates)
 {
     const std::string a = tempPath("merge_a.jsonl");
     const std::string b = tempPath("merge_b.jsonl");
@@ -117,8 +117,9 @@ TEST(CampaignMergeCli, MergesShardsAndCountsSupersededDuplicates)
     writeJournal(b, {makeRun(1, 9), makeRun(2, 2)});
 
     const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_MERGE, {a, b, "-o", out});
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {a, b, "-o", out});
     EXPECT_EQ(result.exit, 0) << result.err;
+    EXPECT_TRUE(result.out.empty()) << result.out;
     EXPECT_NE(result.err.find("merged 3 run(s) from 2 journal(s)"),
               std::string::npos)
         << result.err;
@@ -136,7 +137,7 @@ TEST(CampaignMergeCli, MergesShardsAndCountsSupersededDuplicates)
     std::remove(expected.c_str());
 }
 
-TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
+TEST(CampaignQueryMergeCli, ToleratesCorruptAndMissingInputs)
 {
     const std::string a = tempPath("merge_torn.jsonl");
     const std::string out = tempPath("merge_torn_out.jsonl");
@@ -146,7 +147,7 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
         os << "{\"torn\":  \n";
     }
     const CliResult result = runCli(
-        PTH_TOOL_CAMPAIGN_MERGE, {a, "/nonexistent/s1.jsonl", "-o",
+        PTH_TOOL_CAMPAIGN_QUERY, {a, "/nonexistent/s1.jsonl", "-o",
                                   out});
     EXPECT_EQ(result.exit, 0) << result.err;
     EXPECT_NE(result.err.find("skipped 1 corrupt line(s)"),
@@ -157,7 +158,7 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
 
     // All inputs missing: hard failure, no output left behind.
     const CliResult nothing = runCli(
-        PTH_TOOL_CAMPAIGN_MERGE,
+        PTH_TOOL_CAMPAIGN_QUERY,
         {"/nonexistent/s0.jsonl", "-o", out + ".none"});
     EXPECT_EQ(nothing.exit, 1);
     EXPECT_NE(nothing.err.find("no readable input journal"),
@@ -168,20 +169,60 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
     std::remove(out.c_str());
 }
 
-TEST(CampaignMergeCli, UsageErrorsExitTwo)
+TEST(CampaignQueryMergeCli, UsageErrorsExitTwo)
 {
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_MERGE, {}).exit, 2);
-    EXPECT_EQ(
-        runCli(PTH_TOOL_CAMPAIGN_MERGE, {"--bogus", "x.jsonl"}).exit,
-        2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_MERGE, {"--help"}).exit, 0);
+    const std::string journal = tempPath("merge_usage.jsonl");
+    const std::string out = tempPath("merge_usage_out.jsonl");
+    writeJournal(journal, {makeRun(0, 1)});
+
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY, {"-o", out}).exit, 2);
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {"--bogus", journal, "-o", out})
+                  .exit,
+              2);
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY, {journal, "-o"}).exit,
+              2);
+    // -o merges journals: query-only options are refused.
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {"--trend", journal, journal, "-o", out})
+                  .exit,
+              2);
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {journal, "--filter", "defense=none", "-o", out})
+                  .exit,
+              2);
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {journal, "--group-by", "seed", "-o", out})
+                  .exit,
+              2);
+    EXPECT_TRUE(readFile(out).empty()); // nothing was written
+
+    // A campaign report is not a journal: merging it would silently
+    // drop every run as a corrupt line, so -o refuses it outright.
+    const std::string report = tempPath("merge_usage.json");
+    {
+        std::ofstream os(report, std::ios::trunc);
+        os << Campaign::toJson({makeRun(0, 1)});
+    }
+    const CliResult refused =
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {journal, report, "-o", out});
+    EXPECT_EQ(refused.exit, 2);
+    EXPECT_NE(refused.err.find("is a campaign report"),
+              std::string::npos)
+        << refused.err;
+    EXPECT_TRUE(readFile(out).empty());
+
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--help"}).exit, 0);
+
+    std::remove(journal.c_str());
+    std::remove(report.c_str());
 }
 
 // ---------------------------------------------------------------- //
-// campaign_compare                                                 //
+// campaign_query --trend                                           //
 // ---------------------------------------------------------------- //
 
-TEST(CampaignCompareCli, ExitStatusIsTheRegressionCount)
+TEST(CampaignQueryTrendCli, ExitStatusIsTheRegressionCount)
 {
     const std::string base = tempPath("cmp_base.jsonl");
     const std::string same = tempPath("cmp_same.jsonl");
@@ -196,31 +237,38 @@ TEST(CampaignCompareCli, ExitStatusIsTheRegressionCount)
     regressed[1].error = "boom";
     writeJournal(worse, regressed);
 
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_COMPARE, {base, same}).exit, 0);
+    EXPECT_EQ(
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base, same}).exit,
+        0);
     const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_COMPARE, {base, worse});
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base, worse});
     EXPECT_EQ(result.exit, 2) << result.out;
     EXPECT_NE(result.out.find("2 regressed"), std::string::npos)
         << result.out;
     EXPECT_NE(result.out.find("REGRESSION"), std::string::npos);
+    EXPECT_NE(result.out.find("3 baseline runs, 3 current:"),
+              std::string::npos)
+        << result.out;
 
     std::remove(base.c_str());
     std::remove(same.c_str());
     std::remove(worse.c_str());
 }
 
-TEST(CampaignCompareCli, BadArtifactsAndCorruptLinesAreSurfaced)
+TEST(CampaignQueryTrendCli, BadArtifactsAndCorruptLinesAreSurfaced)
 {
     const std::string good = tempPath("cmp_good.jsonl");
     writeJournal(good, {makeRun(0, 1)});
 
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_COMPARE,
-                     {"/nonexistent/a.jsonl", good})
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {"--trend", "/nonexistent/a.jsonl", good})
                   .exit,
               2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_COMPARE, {good}).exit, 2);
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", good}).exit,
+              2);
 
-    // A torn line warns but does not fail the comparison.
+    // A torn line warns, naming the artifact, but does not fail the
+    // comparison.
     const std::string torn = tempPath("cmp_torn.jsonl");
     {
         std::ofstream os(torn, std::ios::trunc);
@@ -228,14 +276,61 @@ TEST(CampaignCompareCli, BadArtifactsAndCorruptLinesAreSurfaced)
         os << "{{{\n";
     }
     const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_COMPARE, {good, torn});
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", good, torn});
     EXPECT_EQ(result.exit, 0) << result.err;
-    EXPECT_NE(result.err.find("skipped 1 corrupt journal line(s)"),
+    EXPECT_NE(result.err.find(torn +
+                              ": warning: skipped 1 corrupt journal"
+                              " line(s)"),
               std::string::npos)
         << result.err;
 
+    // The listing mode warns the same way, per artifact.
+    const CliResult listing =
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {good, torn});
+    EXPECT_EQ(listing.exit, 0) << listing.err;
+    EXPECT_NE(listing.err.find(torn +
+                               ": warning: skipped 1 corrupt journal"
+                               " line(s)"),
+              std::string::npos)
+        << listing.err;
+    EXPECT_EQ(listing.err.find(good), std::string::npos)
+        << listing.err;
+
     std::remove(good.c_str());
     std::remove(torn.c_str());
+}
+
+TEST(CampaignQueryTrendCli, ToleranceIsStrict)
+{
+    const std::string base = tempPath("tol_base.jsonl");
+    const std::string slower = tempPath("tol_slower.jsonl");
+    std::vector<RunResult> runs = {makeRun(0, 1)};
+    writeJournal(base, runs);
+    runs[0].simSeconds *= 1.15; // +15%
+    writeJournal(slower, runs);
+
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {"--trend", base, slower, "--tolerance", "10"})
+                  .exit,
+              1);
+    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                     {"--trend", base, slower, "--tolerance=20"})
+                  .exit,
+              0);
+    // Garbage no longer reads as 0% (flagging everything) or NaN
+    // (disarming the slower criterion): it is a usage error.
+    for (const char *bad : {"abc", "nan", "-1", "5x", ""}) {
+        const CliResult result =
+            runCli(PTH_TOOL_CAMPAIGN_QUERY,
+                   {"--trend", base, slower, "--tolerance", bad});
+        EXPECT_EQ(result.exit, 2) << bad;
+        EXPECT_NE(result.err.find("bad --tolerance"),
+                  std::string::npos)
+            << bad << ": " << result.err;
+    }
+
+    std::remove(base.c_str());
+    std::remove(slower.c_str());
 }
 
 // ---------------------------------------------------------------- //
@@ -285,30 +380,6 @@ TEST(CampaignQueryCli, FiltersGroupsAndFoldsArtifacts)
 
     std::remove(a.c_str());
     std::remove(b.c_str());
-}
-
-TEST(CampaignQueryCli, TrendSharesTheCompareRegressionRules)
-{
-    const std::string base = tempPath("trend_base.jsonl");
-    const std::string worse = tempPath("trend_worse.jsonl");
-    writeJournal(base, {makeRun(0, 3)});
-    std::vector<RunResult> regressed = {makeRun(0, 1)};
-    writeJournal(worse, regressed);
-
-    const CliResult result = runCli(
-        PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base, worse});
-    EXPECT_EQ(result.exit, 1) << result.out;
-    EXPECT_NE(result.out.find("1 regressed"), std::string::npos)
-        << result.out;
-    EXPECT_EQ(
-        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base, base}).exit,
-        0);
-    // --trend needs exactly two artifacts.
-    EXPECT_EQ(
-        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base}).exit, 2);
-
-    std::remove(base.c_str());
-    std::remove(worse.c_str());
 }
 
 // ---------------------------------------------------------------- //

@@ -5,7 +5,10 @@
    must point at an existing file or directory.
 2. Reproduce-table coverage: every binary CMake builds (benches,
    examples, tools) must be mentioned in README.md, so the per-binary
-   reproduce table cannot silently fall behind the build.
+   reproduce table cannot silently fall behind the build; and every
+   ./build/{bench,examples,tools}/X command in README.md or docs/
+   must name a binary CMake still builds, so a deleted binary cannot
+   linger in a reproduce row or recipe.
 3. Static-analysis coverage: every lint artifact under tools/lint
    (scripts, configs, suppression file) plus .clang-tidy must be
    mentioned in docs/STATIC_ANALYSIS.md, so the analysis reference
@@ -36,6 +39,7 @@ MD_FILES = sorted(
 )
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+BUILD_BINARY_RE = re.compile(r"\./build/(?:bench|examples|tools)/(\w+)")
 
 
 def check_links() -> list:
@@ -91,12 +95,22 @@ def built_binaries() -> list:
 
 def check_readme_table() -> list:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    built = built_binaries()
     problems = []
-    for name in built_binaries():
+    for name in built:
         if name not in readme:
             problems.append(
                 f"README.md: binary '{name}' has no reproduce-table row"
             )
+    docs = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
+    for doc in docs:
+        text = doc.read_text(encoding="utf-8")
+        for name in sorted(set(BUILD_BINARY_RE.findall(text))):
+            if name not in built:
+                problems.append(
+                    f"{doc.relative_to(ROOT)}: names './build/.../{name}',"
+                    " which CMake no longer builds"
+                )
     return problems
 
 
