@@ -53,12 +53,11 @@
  *    from the merged journal;
  *  - --workers N (parent mode): runs the campaign as a one-campaign
  *    manifest through CampaignCtl — N shard workers of this very
- *    binary with crash detection, respawn/resume and straggler
- *    re-issue — and returns results served from the merged journal,
- *    byte-identical to a single-process serial run. A worker that
- *    dies for good surfaces as failed runs carrying its death reason
- *    and captured stderr, and in workerDeaths, so the bench exits
- *    nonzero.
+ *    binary with crash detection and respawn/resume — and returns
+ *    results served from the merged journal, byte-identical to a
+ *    single-process serial run. A worker that dies for good
+ *    surfaces as failed runs carrying its death reason and captured
+ *    stderr, and in workerDeaths, so the bench exits nonzero.
  *
  * Numeric flags are strict (common/parse.hh): a value that is not one
  * whole decimal integer in range exits with status 2.

@@ -192,32 +192,21 @@ Manifest::load(const std::string &path, Manifest &out,
 // ---------------------------------------------------------------- //
 
 /** One schedulable unit: a shard slice of a campaign, or the render
- * pass that turns a merged journal into the final report. */
+ * pass that turns a merged journal into the final report. Respawns
+ * reuse the task's journal, so a replacement resumes its checkpoint. */
 struct CampaignCtl::Task
 {
     enum class Kind { Shard, Render };
-
-    /** One subprocess lineage of the task: the primary, or a
-     * speculative backup. Respawns stay within the instance (same
-     * journal, resumed); re-issue adds an instance. */
-    struct Instance
-    {
-        std::string journal;
-        std::string log;
-        unsigned spawns = 0;
-        bool live = false;
-        std::string error;       //!< last death reason
-    };
 
     Kind kind = Kind::Shard;
     std::size_t campaign = 0;
     unsigned shard = 0;
     std::string label; //!< "name/shard" or "name/render" (logs)
 
-    std::vector<Instance> instances;
-    bool done = false;
-    bool ok = false;
-    std::string winnerJournal;
+    std::string journal;
+    std::string log;
+    unsigned spawns = 0;
+    std::string error; //!< last death reason
 };
 
 namespace
@@ -302,7 +291,7 @@ seedShardJournals(const std::string &journal, unsigned shards)
 }
 
 /** fork/exec one worker, stdout+stderr captured to logPath
- * (truncated on an instance's first attempt so a postmortem tail can
+ * (truncated on a task's first attempt so a postmortem tail can
  * never show a previous run's output, appended on respawns so the log
  * shows every attempt). Returns the pid or -1. */
 long
@@ -339,22 +328,6 @@ spawnWorker(const std::vector<std::string> &args,
     ::_exit(127);
 }
 
-/** Copy a journal snapshot for a backup instance. The source may be
- * mid-append; a torn final line is exactly what ResultStore::load
- * tolerates, so the backup resumes from the straggler's last complete
- * checkpoint. A missing source yields an empty (fresh) journal. */
-bool
-copyJournalSnapshot(const std::string &from, const std::string &to)
-{
-    std::ofstream out(to, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    std::ifstream in(from, std::ios::binary);
-    if (in)
-        out << in.rdbuf();
-    return true;
-}
-
 } // namespace
 
 CampaignCtl::CampaignCtl(Manifest manifest, CampaignCtlOptions options)
@@ -374,8 +347,7 @@ CampaignCtl::logLine(const std::string &line) const
 }
 
 std::vector<std::string>
-CampaignCtl::workerArgs(const Task &task, const std::string &journal,
-                        bool fresh) const
+CampaignCtl::workerArgs(const Task &task, bool fresh) const
 {
     const ManifestCampaign &campaign =
         manifest_.campaigns[task.campaign];
@@ -384,7 +356,7 @@ CampaignCtl::workerArgs(const Task &task, const std::string &journal,
     std::vector<std::string> args{campaign.program, "--threads=1"};
     args.insert(args.end(), campaign.args.begin(),
                 campaign.args.end());
-    args.push_back("--journal=" + journal);
+    args.push_back("--journal=" + task.journal);
     if (task.kind == Task::Kind::Shard)
         args.push_back(
             strfmt("--shard=%u/%u", task.shard, campaign.shards));
@@ -402,39 +374,24 @@ CampaignCtl::startTask(std::size_t taskId)
     const ManifestCampaign &campaign =
         manifest_.campaigns[task.campaign];
 
-    Task::Instance instance;
-    if (task.kind == Task::Kind::Shard) {
-        instance.journal =
-            shardJournalPath(campaign.journal, task.shard);
-        instance.log = instance.journal + ".log";
-        // A fresh suite must not resume stale shard journals even if
-        // the worker dies before its own --fresh truncation runs.
-        if (options_.fresh)
-            std::remove(instance.journal.c_str());
-    } else {
-        instance.journal = campaign.journal;
-        instance.log = instance.journal + ".render.log";
-    }
-    task.instances.push_back(std::move(instance));
-    Task::Instance &primary = task.instances.back();
-
-    // Respawns and backups never pass --fresh: resuming the
-    // instance's journal is their point.
-    const long pid = spawnWorker(
-        workerArgs(task, primary.journal,
-                   options_.fresh && task.kind == Task::Kind::Shard),
-        primary.log, /*firstAttempt=*/true);
+    // A fresh suite must not resume stale shard journals even if the
+    // worker dies before its own --fresh truncation runs. Respawns
+    // never pass --fresh: resuming the task's journal is their point.
+    const bool fresh = options_.fresh && task.kind == Task::Kind::Shard;
+    if (fresh)
+        std::remove(task.journal.c_str());
+    const long pid = spawnWorker(workerArgs(task, fresh), task.log,
+                                 /*firstAttempt=*/true);
     if (pid < 0) {
         // The orchestrator is single-threaded (fork-based fan-out).
-        primary.error = strfmt(
+        task.error = strfmt(
             "fork failed: %s",
             std::strerror(errno)); // NOLINT(concurrency-mt-unsafe)
         return false;
     }
-    primary.spawns = 1;
-    primary.live = true;
+    task.spawns = 1;
     ++outcomes_[task.campaign].spawns;
-    live_.push_back({pid, {taskId, 0}});
+    live_.push_back({pid, taskId});
     logLine("spawn " + task.label);
 
     if (task.kind == Task::Kind::Shard)
@@ -451,68 +408,19 @@ CampaignCtl::startTask(std::size_t taskId)
     return true;
 }
 
-bool
-CampaignCtl::reissueStraggler()
-{
-    // Lowest task id first: deterministic given the same set of
-    // stragglers, and the longest-queued shard is the most likely to
-    // actually be stuck.
-    for (std::size_t taskId = 0; taskId < tasks_.size(); ++taskId) {
-        Task &task = tasks_[taskId];
-        if (task.kind != Task::Kind::Shard || task.done ||
-            task.instances.empty())
-            continue;
-        if (task.instances.size() > options_.maxReissues)
-            continue;
-        bool anyLive = false;
-        for (const Task::Instance &instance : task.instances)
-            anyLive |= instance.live;
-        if (!anyLive)
-            continue;
-
-        const unsigned index =
-            static_cast<unsigned>(task.instances.size());
-        Task::Instance backup;
-        backup.journal =
-            task.instances[0].journal + strfmt(".r%u", index);
-        backup.log = backup.journal + ".log";
-        if (!copyJournalSnapshot(task.instances[0].journal,
-                                 backup.journal))
-            continue;
-
-        const long pid =
-            spawnWorker(workerArgs(task, backup.journal, false),
-                        backup.log, /*firstAttempt=*/true);
-        if (pid < 0)
-            continue;
-        backup.spawns = 1;
-        backup.live = true;
-        task.instances.push_back(std::move(backup));
-        ++outcomes_[task.campaign].spawns;
-        ++outcomes_[task.campaign].reissues;
-        live_.push_back({pid, {taskId, index}});
-        logLine(strfmt("reissue %s instance %u", task.label.c_str(),
-                       index));
-        return true;
-    }
-    return false;
-}
-
 void
-CampaignCtl::failTask(std::size_t taskId, unsigned instanceIdx)
+CampaignCtl::failTask(std::size_t taskId)
 {
-    Task &task = tasks_[taskId];
-    const Task::Instance &last = task.instances[instanceIdx];
-    task.done = true;
-    task.ok = false;
+    const Task &task = tasks_[taskId];
     CampaignOutcome &outcome = outcomes_[task.campaign];
+    logLine("dead " + task.label + ": " + task.error);
     // A fork that never happened left no log of this invocation.
     const std::string tail =
-        last.spawns ? fileTail(last.log) : std::string();
+        task.spawns ? fileTail(task.log) : std::string();
     if (outcome.error.empty()) {
         outcome.error = strfmt("%s died after %u attempt(s): %s",
-                               task.label.c_str(), last.spawns,
-                               last.error.c_str());
+                               task.label.c_str(), task.spawns,
+                               task.error.c_str());
         if (!tail.empty())
             outcome.error += "; log tail: " + tail;
     }
@@ -522,8 +430,8 @@ CampaignCtl::failTask(std::size_t taskId, unsigned instanceIdx)
         return;
     }
     ShardOutcome &shard = outcome.shards[task.shard];
-    shard.error = last.error;
-    shard.log = last.log;
+    shard.error = task.error;
+    shard.log = task.log;
     shard.logTail = tail;
     if (--shardsLeft_[task.campaign] == 0)
         finishCampaign(task.campaign);
@@ -537,21 +445,14 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
     CampaignOutcome &outcome = outcomes_[campaignIdx];
 
     // Old campaign journal first (resume; --fresh removed it), then
-    // each shard's journals — last wins, so fresher shard results
-    // supersede. A dead shard still contributes every run its
-    // instances checkpointed before dying.
+    // each shard's journal — last wins, so fresher shard results
+    // supersede. A dead shard still contributes every run it
+    // checkpointed before dying.
     std::vector<std::string> inputs{outcome.journal};
-    for (const Task &task : tasks_) {
-        if (task.campaign != campaignIdx ||
-            task.kind != Task::Kind::Shard)
-            continue;
-        if (task.ok) {
-            inputs.push_back(task.winnerJournal);
-            continue;
-        }
-        for (const Task::Instance &instance : task.instances)
-            inputs.push_back(instance.journal);
-    }
+    for (const Task &task : tasks_)
+        if (task.campaign == campaignIdx &&
+            task.kind == Task::Kind::Shard)
+            inputs.push_back(task.journal);
 
     std::string mergeError;
     if (!ResultStore::merge(inputs, outcome.journal,
@@ -586,6 +487,8 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
     render.kind = Task::Kind::Render;
     render.campaign = campaignIdx;
     render.label = campaign.name + "/render";
+    render.journal = campaign.journal;
+    render.log = campaign.journal + ".render.log";
     tasks_.push_back(std::move(render));
     pending_.push_back(tasks_.size() - 1);
 }
@@ -630,6 +533,8 @@ CampaignCtl::run()
             task.campaign = ci;
             task.shard = s;
             task.label = campaign.name + strfmt("/%u", s);
+            task.journal = shardJournalPath(campaign.journal, s);
+            task.log = task.journal + ".log";
             tasks_.push_back(std::move(task));
             pending_.push_back(tasks_.size() - 1);
         }
@@ -639,18 +544,10 @@ CampaignCtl::run()
         while (live_.size() < poolWidth &&
                nextPending_ < pending_.size()) {
             const std::size_t taskId = pending_[nextPending_++];
-            if (!startTask(taskId)) {
-                // Could not even fork: the task fails permanently.
-                logLine("dead " + tasks_[taskId].label + " instance 0: " +
-                        tasks_[taskId].instances.back().error);
-                failTask(taskId, 0);
-            }
+            // Could not even fork: the task fails permanently.
+            if (!startTask(taskId))
+                failTask(taskId);
         }
-        // Queue drained with slots to spare: speculatively back up
-        // stragglers instead of idling.
-        if (nextPending_ >= pending_.size())
-            while (live_.size() < poolWidth && reissueStraggler()) {
-            }
         if (live_.empty())
             break;
 
@@ -667,39 +564,14 @@ CampaignCtl::run()
                 break;
         if (it == live_.end())
             continue;
-        const std::size_t taskId = it->second.first;
-        const unsigned instanceIdx = it->second.second;
+        const std::size_t taskId = it->second;
         live_.erase(it);
 
         Task &task = tasks_[taskId];
-        Task::Instance &instance = task.instances[instanceIdx];
-        instance.live = false;
         CampaignOutcome &outcome = outcomes_[task.campaign];
 
-        if (task.done) {
-            // A sibling already won and this instance was killed for
-            // it; nothing to account.
-            continue;
-        }
-
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            task.done = true;
-            task.ok = true;
-            task.winnerJournal = instance.journal;
-            if (instanceIdx == 0)
-                logLine("exit " + task.label + " ok");
-            else
-                logLine(strfmt("exit %s ok (backup instance %u won)",
-                               task.label.c_str(), instanceIdx));
-            // Losing instances are moot now; reap them via the
-            // task.done early-out above.
-            for (auto &entry : live_)
-                if (entry.second.first == taskId) {
-                    ::kill(static_cast<pid_t>(entry.first), SIGKILL);
-                    logLine(strfmt("supersede %s instance %u",
-                                   task.label.c_str(),
-                                   entry.second.second));
-                }
+            logLine("exit " + task.label + " ok");
             if (task.kind == Task::Kind::Shard) {
                 outcome.shards[task.shard].ok = true;
                 if (--shardsLeft_[task.campaign] == 0)
@@ -716,43 +588,35 @@ CampaignCtl::run()
         // found failing runs (or could not write the report) — a
         // deterministic verdict a respawn would only repeat.
         if (task.kind == Task::Kind::Render && WIFEXITED(status)) {
-            task.done = true;
             if (outcome.error.empty())
                 outcome.error = strfmt(
                     "report render exited with status %d (log: %s)",
-                    WEXITSTATUS(status), instance.log.c_str());
+                    WEXITSTATUS(status), task.log.c_str());
             logLine("campaign " + outcome.name +
                     " FAILED: " + outcome.error);
             continue;
         }
 
-        if (instance.spawns <= options_.maxRespawns) {
-            // Respawn the same instance without --fresh: the
-            // replacement resumes the instance's journal and repeats
-            // only the runs the dead attempt had not checkpointed.
-            const long next =
-                spawnWorker(workerArgs(task, instance.journal, false),
-                            instance.log, /*firstAttempt=*/false);
+        if (task.spawns <= options_.maxRespawns) {
+            // Respawn without --fresh: the replacement resumes the
+            // task's journal and repeats only the runs the dead
+            // attempt had not checkpointed.
+            const long next = spawnWorker(workerArgs(task, false),
+                                          task.log,
+                                          /*firstAttempt=*/false);
             if (next >= 0) {
-                ++instance.spawns;
+                ++task.spawns;
                 ++outcome.spawns;
-                instance.live = true;
-                live_.push_back({next, {taskId, instanceIdx}});
+                live_.push_back({next, taskId});
                 logLine(strfmt("respawn %s attempt %u",
-                               task.label.c_str(), instance.spawns));
+                               task.label.c_str(), task.spawns));
                 continue;
             }
         }
 
-        // This instance is out of lives.
-        instance.error = describeWaitStatus(status);
-        logLine(strfmt("dead %s instance %u: %s", task.label.c_str(),
-                       instanceIdx, instance.error.c_str()));
-        bool anyHope = false;
-        for (const Task::Instance &other : task.instances)
-            anyHope |= other.live;
-        if (!anyHope)
-            failTask(taskId, instanceIdx);
+        // Out of lives.
+        task.error = describeWaitStatus(status);
+        failTask(taskId);
     }
 
     unsigned failures = 0;

@@ -18,26 +18,24 @@
  * orchestrated report is byte-identical to a serial `program args
  * --json=...` run.
  *
- * Fault handling, per shard task:
+ * Fault handling, per shard task — one recovery rule:
  *  - a dead worker (nonzero exit, signal, failed exec) is respawned
  *    with the same journal up to maxRespawns times; the replacement
  *    resumes from the dead attempt's checkpoint;
- *  - once the queue drains, idle pool slots speculatively re-issue
- *    still-running shard tasks (classic straggler mitigation): a
- *    backup instance starts from a snapshot copy of the primary's
- *    journal, the first instance to finish wins and its siblings are
- *    killed — safe because instances never share a journal file and
- *    the merged result is index-keyed, not instance-keyed;
- *  - a task whose every instance died permanently fails its campaign:
- *    the runs its instances checkpointed still merge, but the
- *    campaign is marked failed, no report is rendered, and the death
- *    reason and log tail are kept per shard (CampaignOutcome::shards)
- *    instead of quietly shrinking the suite.
+ *  - a task that dies on every attempt fails its campaign: the runs
+ *    it checkpointed still merge, but the campaign is marked failed,
+ *    no report is rendered, and the death reason and log tail are
+ *    kept per shard (CampaignOutcome::shards) instead of quietly
+ *    shrinking the suite.
+ * Runs are deterministic simulations, so a slow shard is never
+ * duplicated: a second copy would repeat the same work on the same
+ * cores.
  *
  * The scheduler is deterministic where determinism is visible: tasks
  * are dispatched in manifest order, so the sequence of first-attempt
- * spawn log lines is the same for any pool width; only respawn /
- * re-issue lines depend on timing.
+ * spawn log lines is the same for any pool width, and spawn counts
+ * are one per task plus one per respawn; only respawn and render
+ * lines interleave on timing.
  */
 
 #ifndef PTH_HARNESS_CAMPAIGN_CTL_HH
@@ -105,12 +103,8 @@ struct CampaignCtlOptions
     /** Pool width: live worker subprocesses (0 = one per core). */
     unsigned workers = 2;
 
-    /** Extra attempts after an instance dies before giving it up. */
+    /** Extra attempts after a worker dies before giving it up. */
     unsigned maxRespawns = 2;
-
-    /** Speculative backup instances a straggling shard task may get
-     * once the queue is empty (0 disables re-issue). */
-    unsigned maxReissues = 1;
 
     /** Discard existing journals; rerun everything. */
     bool fresh = false;
@@ -128,9 +122,9 @@ struct CampaignCtlOptions
 /** How one shard slice of a campaign ended. */
 struct ShardOutcome
 {
-    bool ok = false;            //!< some instance completed the slice
+    bool ok = false;            //!< some attempt completed the slice
     std::string error;          //!< decoded death reason when !ok
-    std::string log;            //!< the last dead instance's log
+    std::string log;            //!< the dead worker's log
     std::string logTail;        //!< end of that log when !ok
 };
 
@@ -143,7 +137,6 @@ struct CampaignOutcome
     bool ok = false;            //!< shards + merge + render all good
     std::string error;          //!< first failure reason when !ok
     unsigned spawns = 0;        //!< worker attempts across shards
-    unsigned reissues = 0;      //!< backup instances spawned
     std::vector<ShardOutcome> shards; //!< indexed by shard
     ResultStore::FoldStats mergeStats;
 };
@@ -174,11 +167,9 @@ class CampaignCtl
 
     void logLine(const std::string &line) const;
     std::vector<std::string> workerArgs(const Task &task,
-                                        const std::string &journal,
                                         bool fresh) const;
     bool startTask(std::size_t taskId);
-    bool reissueStraggler();
-    void failTask(std::size_t taskId, unsigned instanceIdx);
+    void failTask(std::size_t taskId);
     void finishCampaign(std::size_t campaignIdx);
 
     Manifest manifest_;
@@ -188,8 +179,7 @@ class CampaignCtl
     std::vector<Task> tasks_;
     std::vector<std::size_t> pending_;  //!< task ids awaiting a slot
     std::size_t nextPending_ = 0;
-    std::vector<std::pair<long, std::pair<std::size_t, unsigned>>>
-        live_;                          //!< pid -> (task, instance)
+    std::vector<std::pair<long, std::size_t>> live_; //!< pid -> task
     std::vector<unsigned> shardsLeft_;  //!< per campaign, unfinished
 };
 

@@ -94,51 +94,6 @@ readText(const std::string &path, std::string &text)
     return true;
 }
 
-/**
- * Parse one object of a report's "runs" array (Campaign::toJson).
- * Reports carry no spec key and no DRAM model, so those stay 0 and
- * empty ("unrecorded").
- */
-bool
-runFromReportObject(const JsonValue &obj, RunResult &run)
-{
-    if (!obj.isObject())
-        return false;
-    const JsonValue *label = obj.find("label");
-    const JsonValue *index = obj.find("index");
-    if (!label || !label->isString() || !index)
-        return false;
-    run.index = index->asU64();
-    run.label = label->asString();
-    if (const JsonValue *v = obj.find("machine"))
-        run.machine = v->asString();
-    if (const JsonValue *v = obj.find("defense"))
-        run.defense = v->asString();
-    if (const JsonValue *v = obj.find("strategy"))
-        run.strategy = v->asString();
-    if (const JsonValue *v = obj.find("seed"))
-        run.seed = v->asU64();
-    if (const JsonValue *v = obj.find("ok"))
-        run.ok = v->asBool(true);
-    if (const JsonValue *v = obj.find("flipped"))
-        run.flipped = v->asBool();
-    if (const JsonValue *v = obj.find("escalated"))
-        run.escalated = v->asBool();
-    if (const JsonValue *v = obj.find("flips"))
-        run.flips = v->asU64();
-    if (const JsonValue *v = obj.find("attempts"))
-        run.attempts = static_cast<unsigned>(v->asU64());
-    if (const JsonValue *v = obj.find("sim_seconds"))
-        run.simSeconds = v->asDouble();
-    if (const JsonValue *v = obj.find("time_to_flip_minutes"))
-        run.report.timeToFirstFlipMinutes = v->asDouble();
-    if (const JsonValue *metrics = obj.find("metrics"))
-        for (const auto &member : metrics->members())
-            run.metrics.emplace_back(member.first,
-                                     member.second.asDouble());
-    return true;
-}
-
 } // namespace
 
 bool
@@ -165,8 +120,10 @@ JournalIndex::addArtifact(const std::string &path, std::string *error)
         std::size_t loaded = 0;
         for (const JsonValue &obj : runs->items()) {
             ResultStore::Entry entry;
-            if (!runFromReportObject(obj, entry.result))
+            if (!ResultStore::deserializeReportRun(obj, entry.result)) {
+                ++stats_.corruptLines;
                 continue;
+            }
             ResultStore::fold(std::move(entry), entries_, stats_);
             ++loaded;
         }

@@ -78,8 +78,8 @@ class JournalIndex
      * shard journals answers like querying their merge. Report runs
      * fold the same way, with spec key 0. On failure (unreadable, or
      * nothing recognisable in it) returns false and, when error is
-     * non-null, says why; corrupt journal lines are counted in
-     * stats() either way.
+     * non-null, says why; corrupt journal lines and report runs are
+     * counted in stats() either way.
      */
     bool addArtifact(const std::string &path,
                      std::string *error = nullptr);

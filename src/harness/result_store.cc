@@ -404,6 +404,50 @@ ResultStore::deserialize(const std::string &line, Entry &out)
     return true;
 }
 
+bool
+ResultStore::deserializeReportRun(const JsonValue &obj, RunResult &out)
+{
+    if (!obj.isObject())
+        return false;
+
+    bool ok = true;
+    RunResult r;
+    r.index = getU64(obj, "index", ok);
+    r.label = getString(obj, "label", ok);
+    r.machine = getString(obj, "machine", ok);
+    r.defense = getString(obj, "defense", ok);
+    r.strategy = getString(obj, "strategy", ok);
+    r.seed = getU64(obj, "seed", ok);
+    r.ok = getBool(obj, "ok", ok);
+    // Written only for failed runs.
+    if (obj.find("error"))
+        r.error = getString(obj, "error", ok);
+    r.flipped = getBool(obj, "flipped", ok);
+    r.escalated = getBool(obj, "escalated", ok);
+    r.flips = getU64(obj, "flips", ok);
+    r.attempts = static_cast<unsigned>(getU64(obj, "attempts", ok));
+    r.exploitPath = getString(obj, "exploit_path", ok);
+    r.simSeconds = getDouble(obj, "sim_seconds", ok);
+    r.report.timeToFirstFlipMinutes =
+        getDouble(obj, "time_to_flip_minutes", ok);
+    // Written only when the run recorded metrics.
+    if (const JsonValue *metrics = obj.find("metrics")) {
+        if (!metrics->isObject())
+            return false;
+        for (const auto &member : metrics->members()) {
+            double value = 0.0;
+            if (!numberValue(member.second, value))
+                return false;
+            r.metrics.emplace_back(member.first, value);
+        }
+    }
+
+    if (!ok)
+        return false;
+    out = std::move(r);
+    return true;
+}
+
 void
 ResultStore::fold(Entry entry, Entries &into, FoldStats &stats)
 {

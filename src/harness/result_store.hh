@@ -40,6 +40,7 @@
 namespace pth
 {
 
+class JsonValue;
 struct RunSpec;
 
 /**
@@ -101,6 +102,16 @@ class ResultStore
      */
     static bool deserialize(const std::string &line, Entry &out);
 
+    /**
+     * Parse one object of a campaign report's "runs" array
+     * (Campaign::toJson) with the same strict field readers: a
+     * missing or mistyped field fails the run, exactly as it fails a
+     * journal line. Reports carry no spec key and no DRAM model, so
+     * those stay 0 and empty ("unrecorded").
+     */
+    static bool deserializeReportRun(const JsonValue &obj,
+                                     RunResult &out);
+
     /** Journal records by run index: what a fold produces. */
     using Entries = std::map<std::size_t, Entry>;
 
@@ -118,7 +129,7 @@ class ResultStore
         unsigned missingInputs = 0;  //!< listed but absent on disk
         std::size_t entries = 0;     //!< distinct run indices held
         std::size_t superseded = 0;  //!< entries a later one replaced
-        std::size_t corruptLines = 0;//!< unparsable lines skipped
+        std::size_t corruptLines = 0;//!< unparsable lines/report runs
     };
 
     /** Fold one record in: the last record per run index wins. */

@@ -3,23 +3,21 @@
  * Campaign-orchestrator tests. The headline contract mirrors
  * test_shard's, one level up: a manifest of campaigns dispatched by
  * CampaignCtl over a bounded worker pool — including with a worker
- * SIGKILLed mid-campaign, or a worker hung and speculatively
- * re-issued — renders final reports byte-identical to serial
+ * SIGKILLed mid-campaign, or one shard far slower than its
+ * siblings — renders final reports byte-identical to serial
  * single-process runs.
  *
  * The test binary is its own bench: invoked with `--pth-worker
- * [--die-at=K] [--die-marker=PATH] [--hang-at=K --hang-marker=PATH]
- * [--fail-at=K] <bench flags>` (in any order) it behaves like a bench
+ * [--die-at=K] [--die-marker=PATH] [--slow-at=K] [--fail-at=K]
+ * <bench flags>` (in any order) it behaves like a bench
  * binary over a fixed 9-run campaign whose every result field derives
  * from the seed.
  *
  *  - --die-at=K: SIGKILL self when executing run K; with
  *    --die-marker, only while the marker file does not exist
  *    (created just before dying) — so the respawn survives.
- *  - --hang-at=K + --hang-marker: the first process to execute run K
- *    creates the marker (O_EXCL) and hangs forever; any later
- *    instance sails past — a deterministic straggler for the
- *    re-issue path, whichever instance reaches K first.
+ *  - --slow-at=K: sleep kSlowSeconds when executing run K — a
+ *    straggler shard that still finishes.
  *  - --fail-at=K: run K fails inside the simulation (ok = false) —
  *    journaled, worker still exits 0, the render pass re-executes it
  *    and exits nonzero.
@@ -37,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -57,14 +54,13 @@ std::string gProgram;
 
 constexpr unsigned kRuns = 9;
 constexpr unsigned kNone = ~0u;
+constexpr unsigned kSlowSeconds = 1;
 
 /** The fixed campaign the workers and the serial baseline build. */
 Campaign
 makeCampaign(unsigned dieAt = kNone,
              const std::string &dieMarker = std::string(),
-             unsigned hangAt = kNone,
-             const std::string &hangMarker = std::string(),
-             unsigned failAt = kNone)
+             unsigned slowAt = kNone, unsigned failAt = kNone)
 {
     Campaign campaign;
     for (unsigned i = 0; i < kRuns; ++i) {
@@ -72,7 +68,7 @@ makeCampaign(unsigned dieAt = kNone,
         spec.label = strfmt("point%u", i);
         spec.preset = MachinePreset::TestSmall;
         spec.seed = 90 + i;
-        spec.body = [dieAt, dieMarker, hangAt, hangMarker,
+        spec.body = [dieAt, dieMarker, slowAt,
                      failAt](Machine &, const AttackConfig &,
                              RunResult &res) {
             if (res.index == dieAt) {
@@ -87,19 +83,8 @@ makeCampaign(unsigned dieAt = kNone,
                 if (die)
                     std::raise(SIGKILL);
             }
-            if (res.index == hangAt && !hangMarker.empty()) {
-                const int fd =
-                    ::open(hangMarker.c_str(),
-                           O_CREAT | O_EXCL | O_WRONLY, 0644);
-                if (fd >= 0) {
-                    // We claimed the straggler role: hang until the
-                    // orchestrator supersedes (SIGKILLs) us.
-                    ::close(fd);
-                    for (;;)
-                        ::usleep(100000);
-                }
-                // Marker exists: a sibling is the straggler; proceed.
-            }
+            if (res.index == slowAt)
+                ::sleep(kSlowSeconds);
             if (res.index == failAt)
                 throw std::runtime_error("injected run failure");
             res.flips = (res.seed * 3) % 4;
@@ -125,10 +110,9 @@ int
 workerMain(int argc, char **argv)
 {
     unsigned dieAt = kNone;
-    unsigned hangAt = kNone;
+    unsigned slowAt = kNone;
     unsigned failAt = kNone;
     std::string dieMarker;
-    std::string hangMarker;
     std::vector<char *> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -139,11 +123,9 @@ workerMain(int argc, char **argv)
                 std::strtoul(argv[i] + 9, nullptr, 10));
         else if (!std::strncmp(argv[i], "--die-marker=", 13))
             dieMarker = argv[i] + 13;
-        else if (!std::strncmp(argv[i], "--hang-at=", 10))
-            hangAt = static_cast<unsigned>(
+        else if (!std::strncmp(argv[i], "--slow-at=", 10))
+            slowAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 10, nullptr, 10));
-        else if (!std::strncmp(argv[i], "--hang-marker=", 14))
-            hangMarker = argv[i] + 14;
         else if (!std::strncmp(argv[i], "--fail-at=", 10))
             failAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 10, nullptr, 10));
@@ -153,8 +135,7 @@ workerMain(int argc, char **argv)
     BenchCli cli =
         BenchCli::parse(static_cast<int>(args.size()), args.data(),
                         "test_campaign_ctl worker");
-    Campaign campaign =
-        makeCampaign(dieAt, dieMarker, hangAt, hangMarker, failAt);
+    Campaign campaign = makeCampaign(dieAt, dieMarker, slowAt, failAt);
     std::vector<RunResult> results = cli.runCampaign(campaign);
     if (!cli.emitJson(results))
         return 1;
@@ -235,10 +216,6 @@ makeOptions(std::ostream *log = nullptr)
     options.workers = 3;
     options.fresh = true;
     options.log = log;
-    // Speculative re-issue is timing-dependent; the tests that pin
-    // exact spawn counts turn it off and the straggler test turns it
-    // back on.
-    options.maxReissues = 0;
     return options;
 }
 
@@ -338,8 +315,8 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
 
     // First-attempt shard spawns must appear in manifest order in
     // the dispatch log whatever the pool width — the queue is built
-    // up front and drained in order; only respawn/re-issue/render
-    // lines may interleave on timing.
+    // up front and drained in order; only respawn and render lines
+    // may interleave on timing.
     std::vector<std::string> expected;
     for (unsigned s = 0; s < 3; ++s)
         expected.push_back(strfmt("[ctl] spawn alpha/%u", s));
@@ -479,37 +456,37 @@ TEST(CampaignCtl, CampaignWithoutReportMergesAndSkipsTheRender)
     EXPECT_EQ(Campaign::toJson(campaign.run(serve)), serialReport());
 }
 
-TEST(CampaignCtl, HungWorkerIsReissuedAndBackupWins)
+TEST(CampaignCtl, SlowShardIsNotDuplicated)
 {
-    const std::string outDir = tempDir("hang");
-    const std::string marker = outDir + "/hang.marker";
-    std::remove(marker.c_str());
+    const std::string outDir = tempDir("slow");
 
-    // One 2-shard campaign; whichever instance first executes run 4
-    // claims the marker and hangs forever. With the queue drained
-    // the orchestrator re-issues the straggling shard; the backup
-    // (or the primary, if the backup claimed the marker first) sails
-    // past and wins, the loser is superseded and killed.
+    // One 2-shard campaign under the default options (pool width 2):
+    // shard 0 sleeps at run 4 while shard 1 finishes in milliseconds
+    // and frees its slot. The runs are deterministic, so a second
+    // copy of the slow shard could only repeat its work: the
+    // supervisor waits for it, and every spawn is one task.
     Manifest manifest;
     manifest.campaigns = {makeCampaignEntry(
-        outDir, "alpha", {"--hang-at=4", "--hang-marker=" + marker}, 2)};
+        outDir, "alpha", {"--slow-at=4"}, 2)};
+    const std::string slowJournal =
+        manifest.campaigns[0].journal + ".shard0";
+    std::remove((slowJournal + ".r1").c_str());
 
     std::ostringstream log;
-    CampaignCtlOptions options = makeOptions(&log);
-    options.workers = 2;
-    options.maxReissues = 1;
+    CampaignCtlOptions options;
+    options.fresh = true;
+    options.log = &log;
     CampaignCtl ctl(manifest, options);
     ASSERT_EQ(ctl.run(), 0u);
 
     const CampaignOutcome &outcome = ctl.outcomes()[0];
     EXPECT_TRUE(outcome.ok) << outcome.error;
-    EXPECT_EQ(outcome.reissues, 1u);
+    // Two shards plus the render pass.
+    EXPECT_EQ(outcome.spawns, 3u) << log.str();
+    EXPECT_EQ(log.str().find("reissue"), std::string::npos)
+        << log.str();
+    EXPECT_FALSE(std::ifstream(slowJournal + ".r1").good());
     EXPECT_EQ(readFile(outcome.report), serialReport());
-    EXPECT_NE(log.str().find("reissue alpha/0 instance 1"),
-              std::string::npos);
-    EXPECT_NE(log.str().find("supersede alpha/0"),
-              std::string::npos);
-    std::remove(marker.c_str());
 }
 
 TEST(CampaignCtl, SimulationFailureSurfacesThroughTheRenderPass)

@@ -429,6 +429,66 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
     std::remove(bogus.c_str());
 }
 
+TEST(JournalIndexTest, ReportRunWithAnyMistypedFieldIsCorrupt)
+{
+    // Every field of a report run is read strictly, like a journal
+    // line: retyping any one of them (string <-> number/bool) drops
+    // exactly that run and counts it, instead of decaying to a
+    // default such as ok = true or 0 flips.
+    const std::vector<RunResult> runs = {
+        makeRun(0, "m", "none", 1, 1),
+        makeRun(1, "m", "none", 2, 3, /*ok=*/false)};
+    const std::string text = Campaign::toJson(runs);
+    const std::size_t line = text.find("{\"index\": 1,");
+    ASSERT_NE(line, std::string::npos);
+    const std::size_t lineEnd = text.find('\n', line);
+
+    const std::string report = tempPath("mistyped.json");
+    for (const char *field :
+         {"index", "label", "machine", "defense", "strategy", "seed",
+          "ok", "error", "flipped", "escalated", "flips", "attempts",
+          "exploit_path", "sim_seconds", "time_to_flip_minutes",
+          "idx"}) {
+        const std::string name = std::string("\"") + field + "\": ";
+        const std::size_t at = text.find(name, line);
+        ASSERT_LT(at, lineEnd) << field;
+        const std::size_t value = at + name.size();
+        std::size_t end;
+        std::string retyped;
+        if (text[value] == '"') {
+            end = text.find('"', value + 1) + 1;
+            retyped = "7";
+        } else {
+            end = text.find_first_of(",}", value);
+            retyped = "\"7\"";
+        }
+        std::string doctored = text;
+        doctored.replace(value, end - value, retyped);
+        {
+            std::ofstream out(report, std::ios::trunc);
+            out << doctored;
+        }
+        JournalIndex index;
+        std::string error;
+        ASSERT_TRUE(index.addArtifact(report, &error))
+            << field << ": " << error;
+        EXPECT_EQ(index.size(), 1u) << field;
+        EXPECT_EQ(index.stats().corruptLines, 1u) << field;
+        EXPECT_EQ(index.select({})[0]->label, "pt0") << field;
+    }
+
+    // Undamaged, both runs load and nothing is counted.
+    {
+        std::ofstream out(report, std::ios::trunc);
+        out << text;
+    }
+    JournalIndex clean;
+    ASSERT_TRUE(clean.addArtifact(report));
+    EXPECT_EQ(clean.size(), 2u);
+    EXPECT_EQ(clean.stats().corruptLines, 0u);
+    std::remove(report.c_str());
+}
+
 /** Diff fixture: pointers into locally-owned runs. */
 std::vector<const RunResult *>
 pointers(const std::vector<RunResult> &runs)

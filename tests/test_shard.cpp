@@ -192,14 +192,14 @@ removeFile(const std::string &path)
 }
 
 /** Remove a --workers journal and every shard artifact beside it:
- * shard journals, backup-instance copies and their logs. */
+ * shard journals and their logs. */
 void
 removeWorkerArtifacts(const std::string &journal, unsigned shards)
 {
     for (unsigned s = 0; s < shards; ++s) {
         const std::string shard = journal + strfmt(".shard%u", s);
         for (const std::string &path :
-             {shard, shard + ".log", shard + ".r1", shard + ".r1.log"})
+             {shard, shard + ".log"})
             removeFile(path);
     }
     removeFile(journal);
@@ -439,9 +439,6 @@ TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
     CampaignCtlOptions options;
     options.workers = 3;
     options.fresh = true;
-    // Straggler re-issue is timing-dependent; off, so the spawn count
-    // below is exact.
-    options.maxReissues = 0;
     std::ostringstream log;
     options.log = &log;
     CampaignCtl ctl(manifest, options);
@@ -527,7 +524,7 @@ TEST(Shard, WorkersForwardExplicitThreadsToEveryWorker)
     Campaign campaign = makeCampaign();
 
     // Without --threads every worker runs serial; with --threads 2
-    // every worker (backups included) gets --threads=2.
+    // every worker gets --threads=2.
     for (unsigned threads : {1u, 2u}) {
         removeWorkerArtifacts(journal, 2);
         removeFile(record);

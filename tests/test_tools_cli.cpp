@@ -382,6 +382,60 @@ TEST(CampaignQueryCli, FiltersGroupsAndFoldsArtifacts)
     std::remove(b.c_str());
 }
 
+TEST(CampaignQueryCli, DoctoredReportRunsAreCorrupt)
+{
+    // A report whose run fields carry the wrong JSON type is read
+    // with the journal's strict field readers: the run is skipped and
+    // counted, never listed as "ok" or as 0 flips.
+    const std::vector<RunResult> runs = {makeRun(0, 1), makeRun(1, 2),
+                                         makeRun(2, 7)};
+    std::string text = Campaign::toJson(runs);
+    const std::size_t run1 = text.find("\"index\": 1,");
+    ASSERT_NE(run1, std::string::npos);
+    const std::size_t ok1 = text.find("\"ok\": true", run1);
+    ASSERT_NE(ok1, std::string::npos);
+    text.replace(ok1, 10, "\"ok\": \"no\"");
+    const std::size_t flips2 = text.find("\"flips\": 7,");
+    ASSERT_NE(flips2, std::string::npos);
+    text.replace(flips2, 10, "\"flips\": \"7\"");
+
+    const std::string good = tempPath("report_good.json");
+    const std::string doctored = tempPath("report_doctored.json");
+    {
+        std::ofstream os(good, std::ios::trunc);
+        os << Campaign::toJson(runs);
+        std::ofstream bad(doctored, std::ios::trunc);
+        bad << text;
+    }
+
+    const CliResult listing =
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {doctored});
+    EXPECT_EQ(listing.exit, 0) << listing.err;
+    EXPECT_NE(listing.err.find(doctored +
+                               ": warning: skipped 2 corrupt report"
+                               " run(s)"),
+              std::string::npos)
+        << listing.err;
+    EXPECT_NE(listing.out.find("1 run(s) selected of 1 indexed"),
+              std::string::npos)
+        << listing.out;
+    EXPECT_EQ(listing.out.find("cli1"), std::string::npos)
+        << listing.out;
+
+    // --trend warns the same way; the undamaged report does not.
+    const CliResult trend =
+        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", good, doctored});
+    EXPECT_NE(trend.err.find(doctored +
+                             ": warning: skipped 2 corrupt report"
+                             " run(s)"),
+              std::string::npos)
+        << trend.err;
+    EXPECT_EQ(trend.err.find(good), std::string::npos) << trend.err;
+
+    std::remove(good.c_str());
+    std::remove(doctored.c_str());
+}
+
 // ---------------------------------------------------------------- //
 // campaign_ctl                                                     //
 // ---------------------------------------------------------------- //
@@ -437,9 +491,8 @@ TEST(CampaignCtlCli, NumericFlagsAreStrict)
     // trailing junk used to be ignored.
     const std::vector<std::vector<std::string>> bad = {
         {"--max-respawns=-1"}, {"--workers=-1"},
-        {"--workers", "abc"},  {"--max-reissues=1x"},
-        {"--workers="},        {"--inject-kill", "a/-1"},
-        {"--inject-kill=a/1x"},
+        {"--workers", "abc"},  {"--workers="},
+        {"--inject-kill", "a/-1"}, {"--inject-kill=a/1x"},
     };
     for (const std::vector<std::string> &flags : bad) {
         std::vector<std::string> args = {ok};
@@ -449,6 +502,13 @@ TEST(CampaignCtlCli, NumericFlagsAreStrict)
         EXPECT_NE(result.err.find("bad "), std::string::npos)
             << result.err;
     }
+
+    // Respawn is the one recovery rule; there is no re-issue knob.
+    const CliResult reissues =
+        runCli(PTH_TOOL_CAMPAIGN_CTL, {ok, "--max-reissues", "1"});
+    EXPECT_EQ(reissues.exit, 2);
+    EXPECT_NE(reissues.err.find("unknown argument"), std::string::npos)
+        << reissues.err;
 
     // A following flag is not a value: "--out --fresh" is a missing
     // value, not an output directory named "--fresh".

@@ -5,14 +5,13 @@
  * Reads a JSON manifest naming campaigns (bench binary + args +
  * shard count each), dispatches every shard as a subprocess over a
  * bounded worker pool, respawns dead workers from their journal
- * checkpoints, speculatively re-issues stragglers once the queue
- * drains, merges each campaign's shard journals and renders its
+ * checkpoints, merges each campaign's shard journals and renders its
  * final JSON report — which is byte-identical to what a serial
  * `program args --json=...` run would have written.
  *
  *   campaign_ctl MANIFEST [--workers N] [--out DIR] [--fresh]
- *                [--max-respawns N] [--max-reissues N]
- *                [--inject-kill NAME/SHARD] [--quiet]
+ *                [--max-respawns N] [--inject-kill NAME/SHARD]
+ *                [--quiet]
  *
  * A campaign without explicit journal/report paths gets
  * "<out>/<name>.jsonl" and "<out>/<name>.json". Numeric values must be
@@ -42,7 +41,6 @@ main(int argc, char **argv)
     const char *usage =
         "usage: campaign_ctl MANIFEST [--workers N] [--out DIR]\n"
         "                    [--fresh] [--max-respawns N]\n"
-        "                    [--max-reissues N]\n"
         "                    [--inject-kill NAME/SHARD] [--quiet]\n"
         "  MANIFEST        JSON manifest: {\"campaigns\": [{\"name\","
         " \"program\", \"args\", \"shards\", ...}]}\n"
@@ -54,8 +52,6 @@ main(int argc, char **argv)
         " everything\n"
         "  --max-respawns N  extra attempts for a dead worker"
         " (default 2)\n"
-        "  --max-reissues N  speculative backups per straggling shard"
-        " once the queue drains (default 1; 0 disables)\n"
         "  --inject-kill NAME/SHARD  SIGKILL that shard's first"
         " attempt right after spawn (fault-injection hook;"
         " repeatable)\n"
@@ -103,8 +99,6 @@ main(int argc, char **argv)
             outDir = outArg;
         } else if (const char *respawnsArg = value("--max-respawns")) {
             count("--max-respawns", respawnsArg, options.maxRespawns);
-        } else if (const char *reissuesArg = value("--max-reissues")) {
-            count("--max-reissues", reissuesArg, options.maxReissues);
         } else if (const char *v = value("--inject-kill")) {
             const char *slash = std::strrchr(v, '/');
             unsigned shard = 0;
@@ -166,8 +160,7 @@ main(int argc, char **argv)
     CampaignCtl ctl(std::move(manifest), std::move(options));
     const unsigned failures = ctl.run();
 
-    Table table({"Campaign", "Status", "Spawns", "Reissues", "Runs",
-                 "Report"});
+    Table table({"Campaign", "Status", "Spawns", "Runs", "Report"});
     for (const CampaignOutcome &outcome : ctl.outcomes()) {
         // Keep the table rectangular: full multi-line errors (log
         // tails) go to stderr below, the cell gets the first line.
@@ -178,7 +171,6 @@ main(int argc, char **argv)
             cell.resize(eol);
         table.addRow({outcome.name, outcome.ok ? "ok" : "FAILED",
                       strfmt("%u", outcome.spawns),
-                      strfmt("%u", outcome.reissues),
                       strfmt("%zu", outcome.mergeStats.entries),
                       cell});
     }

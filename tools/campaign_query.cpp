@@ -34,7 +34,8 @@
  * written.
  *
  * Every mode warns on stderr, per artifact, about skipped corrupt
- * journal lines. Usage errors exit 2.
+ * journal lines and report runs (a missing or mistyped field). Usage
+ * errors exit 2.
  */
 
 #include <cstdio>
@@ -54,12 +55,14 @@ namespace
 
 /**
  * Add one artifact to index, reporting on stderr: a load failure says
- * why, and a torn journal says how many of its lines were skipped.
+ * why, and a torn journal or mangled report says how many of its
+ * lines or runs were skipped.
  */
 bool
 loadArtifact(const std::string &path, JournalIndex &index)
 {
     const std::size_t corruptBefore = index.stats().corruptLines;
+    const unsigned reportsBefore = index.stats().reports;
     std::string error;
     const bool ok = index.addArtifact(path, &error);
     if (!ok)
@@ -67,10 +70,11 @@ loadArtifact(const std::string &path, JournalIndex &index)
     const std::size_t corrupt =
         index.stats().corruptLines - corruptBefore;
     if (corrupt)
-        std::fprintf(stderr,
-                     "%s: warning: skipped %zu corrupt journal"
-                     " line(s)\n",
-                     path.c_str(), corrupt);
+        std::fprintf(stderr, "%s: warning: skipped %zu corrupt %s\n",
+                     path.c_str(), corrupt,
+                     index.stats().reports > reportsBefore
+                         ? "report run(s)"
+                         : "journal line(s)");
     return ok;
 }
 
