@@ -13,7 +13,7 @@
  * variant is an independent campaign run with a custom measurement
  * body (its own machine, prepared from the same seed), so the five
  * variants fan out across cores and the table is reproducible
- * bit-for-bit. Standard bench flags: PTH_THREADS / --threads,
+ * bit-for-bit. Standard bench flags: --threads,
  * --json, --journal/--fresh (checkpoint/resume).
  */
 

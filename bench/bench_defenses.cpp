@@ -16,7 +16,7 @@
  *             paper concedes PThammer does not overcome.
  *
  * The five defense scenarios run as one campaign across host cores.
- * Standard bench flags: PTH_THREADS / --threads, --json,
+ * Standard bench flags: --threads, --json,
  * --journal/--fresh (checkpoint/resume).
  */
 

@@ -6,7 +6,7 @@
  *
  * One campaign run per machine (each sprays and prepares its own
  * attacker, then profiles all six set sizes), fanned across host
- * cores. Standard bench flags: PTH_THREADS / --threads, --json,
+ * cores. Standard bench flags: --threads, --json,
  * --journal/--fresh (checkpoint/resume).
  */
 

@@ -7,7 +7,7 @@
  *
  * One campaign run per machine (each builds its own eviction pool,
  * then profiles all 22 set sizes), fanned across host cores.
- * Standard bench flags: PTH_THREADS / --threads, --json,
+ * Standard bench flags: --threads, --json,
  * --journal/--fresh (checkpoint/resume).
  */
 

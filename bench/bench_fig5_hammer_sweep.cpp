@@ -7,7 +7,7 @@
  * Lenovos, ~1600 on the Dell).
  *
  * The 3 machines x 11 padding levels form one 33-run campaign fanned
- * across host cores. Standard bench flags: PTH_THREADS / --threads,
+ * across host cores. Standard bench flags: --threads,
  * --json, --journal/--fresh (checkpoint/resume).
  */
 

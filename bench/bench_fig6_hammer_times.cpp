@@ -6,7 +6,7 @@
  * (<=1000/1100), Dell 900-1400 — all below the Figure-5 maxima.
  *
  * The 2 settings x 3 machines form one six-run campaign fanned
- * across host cores. Standard bench flags: PTH_THREADS / --threads,
+ * across host cores. Standard bench flags: --threads,
  * --json, --journal/--fresh (checkpoint/resume).
  */
 

@@ -21,7 +21,7 @@
  * bench/baselines/machine_setup.json at --tiny scale. Host-time
  * numbers are printed but never journaled — they vary by host.
  *
- * Standard bench flags (PTH_THREADS / --threads, --json,
+ * Standard bench flags (--threads, --json,
  * --journal/--fresh, --cold-machines) plus --tiny.
  */
 

@@ -5,7 +5,7 @@
  * of those are exactly one victim row apart.
  *
  * One campaign run per machine, fanned across host cores. Standard
- * bench flags: PTH_THREADS / --threads, --json, --journal/--fresh
+ * bench flags: --threads, --json, --journal/--fresh
  * (checkpoint/resume).
  */
 

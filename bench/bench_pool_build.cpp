@@ -22,7 +22,7 @@
  * The gain is the regular-page path's; superpage classes are a few
  * dozen lines and land near 1x by design.
  *
- * Standard bench flags (PTH_THREADS / --threads, --json,
+ * Standard bench flags (--threads, --json,
  * --journal/--fresh) plus --tiny: test-small machine and smaller
  * samples, the scale the CI perf gate pins against
  * bench/baselines/pool_build.json.

@@ -6,7 +6,7 @@
  * ~290 ms LLC selection costs).
  *
  * The 3 machines x 2 page sizes form one six-run campaign fanned
- * across host cores. Standard bench flags: PTH_THREADS / --threads,
+ * across host cores. Standard bench flags: --threads,
  * --json, --journal/--fresh (checkpoint/resume).
  */
 

@@ -6,7 +6,7 @@
  * per preset boots the Machine and records its key parameters as
  * metrics, so a preset that stops constructing fails the bench (and
  * the run is journaled like any other). Standard bench flags:
- * PTH_THREADS / --threads, --json, --journal/--fresh.
+ * --threads, --json, --journal/--fresh.
  */
 
 #include <cstdio>

@@ -8,7 +8,7 @@
  * The six machine x page-size configurations are dispatched through
  * the campaign runner, so they fan out across host cores and the
  * reported rows are identical no matter how many workers ran them.
- * Standard bench flags: PTH_THREADS / --threads, --json,
+ * Standard bench flags: --threads, --json,
  * --journal/--fresh (checkpoint/resume).
  */
 

@@ -5,7 +5,7 @@
  * folded into the flip-probability statistics a single run cannot
  * give you. The aggregate (and the JSON report, with --json) is
  * bit-identical to a serial run of the same campaign — rerun with
- * PTH_THREADS=1 to check. Pass --journal sweep.jsonl, kill it
+ * --threads 1 to check. Pass --journal sweep.jsonl, kill it
  * mid-sweep, and rerun with the same flag to watch the campaign
  * resume from its checkpoint and still print the same fingerprint.
  */

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace pth
@@ -38,8 +39,8 @@ usage(const char *prog, const char *summary)
         "                  resumed (finished runs are skipped)\n"
         "  --fresh         with --journal: discard the journal and\n"
         "                  rerun everything\n"
-        "  --threads N     worker threads (overrides PTH_THREADS;\n"
-        "                  0 = all cores, 1 = serial)\n"
+        "  --threads N     worker threads (0 = all cores, the\n"
+        "                  default; 1 = serial)\n"
         "  --shard I/N     execute only runs with index %% N == I\n"
         "                  into this process's journal (requires\n"
         "                  --journal); merge the N shard journals\n"
@@ -122,7 +123,7 @@ BenchCli::parse(int argc, char **argv, const char *summary,
                 const std::vector<std::string> &passthrough)
 {
     BenchCli cli;
-    cli.options.threads = CampaignOptions::threadsFromEnv();
+    cli.options.threads = 0;  // all cores; --threads overrides
     cli.program = argc > 0 ? argv[0] : "";
     // Bench-specific flags first, then the sweep-shaping standard
     // flags as they parse — together they let a spawned shard worker
@@ -170,12 +171,14 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--shard")) {
+            // Both halves strict, like every other numeric flag.
+            const char *slash = std::strchr(value, '/');
             unsigned index = 0;
             unsigned count = 0;
-            char excess = 0;
-            if (std::sscanf(value, "%u/%u%c", &index, &count,
-                            &excess) != 2 ||
-                count == 0 || index >= count) {
+            if (!slash ||
+                !parseCount(std::string(value, slash).c_str(), index) ||
+                !parseCount(slash + 1, count) || count == 0 ||
+                index >= count) {
                 std::fprintf(stderr,
                              "%s: bad --shard '%s' (use I/N with"
                              " 0 <= I < N)\n",

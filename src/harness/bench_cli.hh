@@ -9,8 +9,8 @@
  *                   at PATH and resume from it when it exists
  *   --fresh         with --journal: discard the journal and rerun
  *                   everything
- *   --threads N     worker count (overrides PTH_THREADS; 0 = all
- *                   cores, 1 = serial)
+ *   --threads N     worker count (0 = all cores, the default;
+ *                   1 = serial)
  *   --shard I/N     execute only runs with index % N == I into this
  *                   process's journal (requires --journal) — the
  *                   manual multi-host dispatch building block; merge
@@ -40,10 +40,9 @@
  *                   byte-identical either way
  *   --help          usage
  *
- * Defaults: threads from PTH_THREADS (all cores when unset), no
- * journal, no JSON, no sharding. parse() exits the process on --help
- * (status 0) and on unknown or invalid arguments (status 2), so
- * benches stay one-liners.
+ * Defaults: all cores, no journal, no JSON, no sharding. parse()
+ * exits the process on --help (status 0) and on unknown or invalid
+ * arguments (status 2), so benches stay one-liners.
  *
  * Sharded dispatch runs through runCampaign(), which every bench
  * calls in place of Campaign::run:

@@ -323,18 +323,6 @@ makeMachineConfig(MachinePreset preset)
     return MachineConfig{};
 }
 
-unsigned
-CampaignOptions::threadsFromEnv()
-{
-    // Resolved once before any workers exist; nothing writes the
-    // environment concurrently.
-    const char *env = std::getenv("PTH_THREADS"); // NOLINT(concurrency-mt-unsafe)
-    if (!env)
-        return 0;
-    long value = std::strtol(env, nullptr, 10);
-    return value > 0 ? static_cast<unsigned>(value) : 0;
-}
-
 std::size_t
 Campaign::add(RunSpec spec)
 {
@@ -536,12 +524,25 @@ Campaign::run(const CampaignOptions &options) const
             std::size_t corrupt = 0;
             auto done = ResultStore::load(options.journalPath,
                                           &corrupt);
-            if (corrupt)
+            if (corrupt) {
                 std::fprintf(stderr,
                              "warning: skipped %zu corrupt line(s) in"
                              " journal %s (truncated by a kill?);"
                              " their runs will re-execute\n",
                              corrupt, options.journalPath.c_str());
+                // Compact the journal to its valid entries before
+                // appending, so the corrupt lines do not warn on every
+                // later read.
+                std::string why;
+                if (!ResultStore::merge({options.journalPath},
+                                        options.journalPath, nullptr,
+                                        &why))
+                    std::fprintf(stderr,
+                                 "warning: cannot compact journal %s:"
+                                 " %s\n",
+                                 options.journalPath.c_str(),
+                                 why.c_str());
+            }
             for (auto &item : done) {
                 const std::size_t index = item.first;
                 ResultStore::Entry &entry = item.second;

@@ -26,8 +26,8 @@
 #define PTH_KERNEL_DEFENSE_HH
 
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <map>
+#include <set>
 #include <string>
 
 #include "common/types.hh"
@@ -54,14 +54,36 @@ enum class DefenseKind { None, Catt, RipRh, Cta, ZebRam };
 /** Human-readable defense name. */
 std::string defenseKindName(DefenseKind kind);
 
-/** Frame-placement policy interface. */
+/**
+ * Frame-placement policy: one value type that switches on its kind.
+ * Every zone is held by value, so a plain copy carries the whole
+ * allocator state over (pools, cursors, recycled frames, fallback
+ * flag) and hands out the same frames in the same order; rebind()
+ * then points the copy at the new machine's devices.
+ */
 class Defense
 {
   public:
-    virtual ~Defense() = default;
+    /** Wire a policy of the given kind to the machine's DRAM layout. */
+    Defense(DefenseKind kind, const AddressMapping &mapping,
+            const VulnerabilityModel &vulnerability,
+            std::uint64_t totalFrames);
+
+    /**
+     * Point a copy at another machine's mapping and vulnerability
+     * model (same values, different objects) for Machine
+     * snapshot/fork.
+     */
+    void
+    rebind(const AddressMapping &mapping,
+           const VulnerabilityModel &vulnerability)
+    {
+        map = &mapping;
+        vuln = &vulnerability;
+    }
 
     /** Policy name for reports. */
-    virtual std::string name() const = 0;
+    std::string name() const { return defenseKindName(kind); }
 
     /**
      * Allocate one frame.
@@ -69,50 +91,74 @@ class Defense
      * @param owner Owning process id (used by RIP-RH).
      * @return Frame, or kInvalidFrame when the zone is exhausted.
      */
-    virtual PhysFrame alloc(AllocIntent intent, std::uint64_t owner) = 0;
+    PhysFrame alloc(AllocIntent intent, std::uint64_t owner);
 
     /** Free a frame previously allocated with the same intent/owner. */
-    virtual void free(PhysFrame frame, AllocIntent intent,
-                      std::uint64_t owner) = 0;
+    void free(PhysFrame frame, AllocIntent intent, std::uint64_t owner);
 
     /**
      * Placement predicate, used by property tests: would this policy
      * ever place an allocation of this intent in this frame?
      */
-    virtual bool frameAllowed(AllocIntent intent, PhysFrame frame)
-        const = 0;
+    bool frameAllowed(AllocIntent intent, PhysFrame frame) const;
 
     /**
      * Approximate zone capacity (frames) for an intent; lets the
      * CATT-exhaustion counter-technique size its allocations.
      */
-    virtual std::uint64_t zoneFrames(AllocIntent intent) const = 0;
-
-    /**
-     * Deep copy for Machine snapshot/fork: allocator pools, cursors,
-     * recycled-frame lists, and fallback flags all carry over so the
-     * clone hands out the same frames in the same order. The clone is
-     * rewired to the *new* machine's mapping/vulnerability (same
-     * values, different objects).
-     */
-    virtual std::unique_ptr<Defense> clone(
-        const AddressMapping &mapping,
-        const VulnerabilityModel &vulnerability) const = 0;
+    std::uint64_t zoneFrames(AllocIntent intent) const;
 
     /**
      * Digest of the allocator state (pool free lists, cursors,
      * recycled frames, fallback flags). Folded into Kernel::stateHash
      * so equal machine fingerprints imply identical future frame
-     * placement — an advanced allocation cursor was previously
-     * invisible to snapshot audits.
+     * placement.
      */
-    virtual std::uint64_t stateHash() const = 0;
+    std::uint64_t stateHash() const;
 
-    /** Factory wiring a policy to the machine's DRAM layout. */
-    static std::unique_ptr<Defense> create(
-        DefenseKind kind, const AddressMapping &mapping,
-        const VulnerabilityModel &vulnerability, std::uint64_t totalFrames,
-        std::uint64_t seed);
+  private:
+    /**
+     * A zone whose frames are cheaply enumerable but not contiguous
+     * (CTA's true-cell L1PT rows, ZebRAM's even rows): a cursor walks
+     * [lo, hi) keeping frames whose row passes rowAllowed(). Freed
+     * frames are recycled first.
+     */
+    struct CursorZone
+    {
+        PhysFrame lo = 0;
+        PhysFrame hi = 0;
+        PhysFrame cursor = 0;
+        bool descending = false;
+        std::set<PhysFrame> recycled;
+    };
+
+    /** The cursor zone's row rule: true-cell-only rows for CTA, even
+     * rows for ZebRAM. */
+    bool rowAllowed(PhysFrame frame) const;
+
+    PhysFrame cursorAlloc();
+
+    /** RIP-RH: the owner's user partition, created on first use. */
+    BuddyAllocator &partitionFor(std::uint64_t owner);
+
+    DefenseKind kind;
+    const AddressMapping *map;
+    const VulnerabilityModel *vuln;
+
+    /** none: all memory; CATT, RIP-RH: the kernel zone; CTA:
+     * everything below the L1PT zone. */
+    BuddyAllocator mainPool;
+    BuddyAllocator userPool;  //!< CATT: the user zone
+    CursorZone zone;          //!< CTA: the L1PT zone; ZebRAM: all memory
+
+    PhysFrame kernelEnd = 0;      //!< CATT, RIP-RH
+    PhysFrame userStart = 0;      //!< CATT, RIP-RH
+    bool warnedFallback = false;  //!< CATT
+
+    unsigned partitionCount = 0;        //!< RIP-RH
+    std::uint64_t partitionFrames = 0;  //!< RIP-RH
+    std::uint64_t guardFrames = 0;      //!< RIP-RH
+    std::map<unsigned, BuddyAllocator> partitions;  //!< RIP-RH
 };
 
 } // namespace pth

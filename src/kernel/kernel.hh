@@ -180,8 +180,8 @@ class Kernel
     PhysAddr credAddress(const Process &proc) const { return proc.credAddr; }
 
     /** The placement policy in force. */
-    Defense &defense() { return *policy; }
-    const Defense &defense() const { return *policy; }
+    Defense &defense() { return policy; }
+    const Defense &defense() const { return policy; }
 
     /** Frames holding Level-1 page tables, across all processes. */
     bool frameIsL1pt(PhysFrame frame) const
@@ -223,7 +223,7 @@ class Kernel
     PhysicalMemory &mem;
     const AddressMapping &map;
     Clock &clk;
-    std::unique_ptr<Defense> policy;
+    Defense policy;
     Rng rng;
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Process>> processes;

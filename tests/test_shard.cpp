@@ -703,6 +703,12 @@ TEST(ShardCliDeath, NumericFlagsAreStrict)
                 testing::ExitedWithCode(2), "bad --pool-threads");
     EXPECT_EXIT(parseArgs({gProgram, "--interleave=seeded:7x"}),
                 testing::ExitedWithCode(2), "bad --interleave");
+    EXPECT_EXIT(parseArgs({gProgram, "--shard=+0/3"}),
+                testing::ExitedWithCode(2), "bad --shard '\\+0/3'");
+    EXPECT_EXIT(parseArgs({gProgram, "--shard= 0/3"}),
+                testing::ExitedWithCode(2), "bad --shard ' 0/3'");
+    EXPECT_EXIT(parseArgs({gProgram, "--shard=0/+3"}),
+                testing::ExitedWithCode(2), "bad --shard '0/\\+3'");
 }
 
 TEST(ShardCli, NumericFlagsKeepTheirDocumentedMeaning)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "common/random.hh"
@@ -92,6 +93,87 @@ TEST(MachineSnapshot, ForkMatchesColdConstructionEveryPreset)
         drive(cold, 2);
         EXPECT_EQ(forked->stateFingerprint(), cold.stateFingerprint())
             << machinePresetName(preset);
+    }
+}
+
+const DefenseKind kAllDefenses[] = {
+    DefenseKind::None, DefenseKind::Catt, DefenseKind::RipRh,
+    DefenseKind::Cta, DefenseKind::ZebRam};
+
+constexpr VirtAddr kSprayVa = 0x4000'0000;
+
+/**
+ * Allocation traffic through every zone of a defense: a process (its
+ * own RIP-RH partition), anonymous user memory, a same-frame spray
+ * that builds a few Level-1 page tables (CTA's cursor zone), for
+ * CATT and RIP-RH kernel-zone exhaustion into the fallback path, and
+ * a few frees.
+ */
+void
+driveDefense(Machine &m, DefenseKind kind, std::uint64_t salt)
+{
+    Kernel &kernel = m.kernel();
+    Process &proc =
+        kernel.createProcess(1000 + static_cast<std::uint32_t>(salt));
+    kernel.mmapAnon(proc, kVa, (16 + salt) * kPageBytes);
+    PhysFrame frame = kernel.allocUserFrame(proc);
+    kernel.mmapSharedSameFrame(proc, kSprayVa, (3 + salt) * kSuperPageBytes,
+                               frame);
+    if (kind == DefenseKind::Catt || kind == DefenseKind::RipRh)
+        kernel.exhaustKernelZone(0.5 + 0.6 * static_cast<double>(salt));
+    // Leave freed frames behind: recycled entries in the cursor zones,
+    // holes in the buddy pools.
+    Defense &defense = kernel.defense();
+    for (AllocIntent intent :
+         {AllocIntent::PageTableL1, AllocIntent::UserData}) {
+        PhysFrame freed = defense.alloc(intent, proc.pid());
+        defense.alloc(intent, proc.pid());
+        defense.free(freed, intent, proc.pid());
+    }
+}
+
+TEST(MachineSnapshot, ForkMatchesColdConstructionEveryDefense)
+{
+    for (DefenseKind kind : kAllDefenses) {
+        MachineConfig config = MachineConfig::testSmall();
+        config.defense = kind;
+
+        Machine original(config);
+        driveDefense(original, kind, 0);
+        std::unique_ptr<Machine> forked = original.clone();
+        Machine cold(config);
+        driveDefense(cold, kind, 0);
+        ASSERT_EQ(forked->stateFingerprint(), cold.stateFingerprint())
+            << defenseKindName(kind);
+        ASSERT_EQ(forked->stateFingerprint(), original.stateFingerprint())
+            << defenseKindName(kind);
+
+        // The fork's zones, cursors and partitions hand out the same
+        // frames as the original's from here on.
+        driveDefense(*forked, kind, 1);
+        driveDefense(original, kind, 1);
+        EXPECT_EQ(forked->stateFingerprint(), original.stateFingerprint())
+            << defenseKindName(kind);
+    }
+}
+
+/** Per-defense machine fingerprints after driveDefense, pinned so a
+ * change to placement or to a defense's digest shows up here. */
+TEST(MachineSnapshot, DefenseFingerprintsArePinned)
+{
+    const std::uint64_t kPinned[] = {
+        0x45b19f5b0cc7971aull, 0x69e2bd4403df0ac4ull,
+        0x0de22a509780a615ull, 0xca4fac37c1e5604full,
+        0x7953bd8b8142c3a9ull};
+    for (std::size_t i = 0; i < std::size(kAllDefenses); ++i) {
+        MachineConfig config = MachineConfig::testSmall();
+        config.defense = kAllDefenses[i];
+        Machine m(config);
+        driveDefense(m, kAllDefenses[i], 0);
+        driveDefense(m, kAllDefenses[i], 1);
+        EXPECT_EQ(m.stateFingerprint(), kPinned[i])
+            << defenseKindName(kAllDefenses[i]) << std::hex << " 0x"
+            << m.stateFingerprint();
     }
 }
 
